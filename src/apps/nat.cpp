@@ -1,7 +1,5 @@
 #include "apps/nat.hpp"
 
-#include <algorithm>
-
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "ppe/registry.hpp"
@@ -10,14 +8,14 @@ namespace flexsfp::apps {
 
 namespace {
 
-// Byte-peek classification for the batched fast path. kSlowPath means "use
-// the full parser"; the fast shapes are frames where parse_packet is
-// GUARANTEED to succeed with fixed offsets (l3 = 14, l4 = 34): untagged
-// Ethernet + IPv4 (version 4, ihl 5, not a fragment) carrying either TCP
-// with a 20-byte header or non-VXLAN UDP, with every header fully present.
+// Byte-peek shape check in front of the parser. kSlowPath means "use the
+// full parser"; the fast shapes are frames where parse_packet is GUARANTEED
+// to succeed with fixed offsets (l3 = 14, l4 = 34): untagged Ethernet +
+// IPv4 (version 4, ihl 5, not a fragment) carrying either TCP with a
+// 20-byte header or non-VXLAN UDP, with every header fully present.
 // Anything else — VLAN tags, IPv6, options, fragments, GRE/ICMP/other
-// protocols, VXLAN's UDP port, truncations — falls back to the parser, so
-// the fast path can never classify a frame differently than process().
+// protocols, VXLAN's UDP port, truncations — goes through the parser, so
+// the shape check can never classify a frame differently than it would.
 constexpr std::uint8_t kSlowPath = 0;
 constexpr std::uint8_t kFastTcp = 1;
 constexpr std::uint8_t kFastUdp = 2;
@@ -60,7 +58,10 @@ std::optional<NatConfig> NatConfig::parse(net::BytesView data) {
   config.direction = static_cast<NatDirection>(data[0]);
   config.miss_action = static_cast<NatMissAction>(data[1]);
   config.table_capacity = net::read_be32(data, 2);
-  if (config.table_capacity == 0) return std::nullopt;
+  if (config.table_capacity == 0 ||
+      config.table_capacity > ppe::kMaxDecodedTableCapacity) {
+    return std::nullopt;
+  }
   return config;
 }
 
@@ -73,15 +74,26 @@ StaticNat::StaticNat(NatConfig config)
       stats_("nat_stats", 3) {}
 
 ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
-  const auto& parsed = ctx.parsed();
-  if (!parsed.ok() || !parsed.outer.ipv4) {
-    stats_.add(2, ctx.packet().size());
-    return ppe::Verdict::forward;  // NAT is IPv4-only; pass others through
+  const bool source = config_.direction == NatDirection::source;
+  const std::size_t addr_offset = source ? 26 : 30;  // l3 14 + 12/16
+  const std::uint8_t shape = fast_path_shape(ctx.packet().data());
+  // Canonical frames skip building the full ParsedPacket: the match
+  // address sits at addr_offset and the parser is guaranteed to agree.
+  const net::ParsedPacket* parsed = nullptr;
+  std::uint32_t old_value = 0;
+  if (shape != kSlowPath) {
+    old_value = net::read_be32(ctx.packet().data(), addr_offset);
+  } else {
+    parsed = &ctx.parsed();
+    if (!parsed->ok() || !parsed->outer.ipv4) {
+      stats_.add(2, ctx.packet().size());
+      return ppe::Verdict::forward;  // NAT is IPv4-only; pass others through
+    }
+    old_value = (source ? parsed->outer.ipv4->src : parsed->outer.ipv4->dst)
+                    .value();
   }
-  const net::Ipv4Address match_addr = config_.direction == NatDirection::source
-                                          ? parsed.outer.ipv4->src
-                                          : parsed.outer.ipv4->dst;
-  const auto hit = table_.lookup(match_addr.value());
+
+  const auto hit = table_.lookup(old_value);
   if (!hit) {
     stats_.add(1, ctx.packet().size());
     switch (config_.miss_action) {
@@ -92,128 +104,39 @@ ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
     return ppe::Verdict::forward;
   }
 
-  const net::Ipv4Address translated{static_cast<std::uint32_t>(*hit)};
-  const bool rewritten =
-      config_.direction == NatDirection::source
-          ? net::rewrite_ipv4_src(ctx.bytes(), parsed, translated)
-          : net::rewrite_ipv4_dst(ctx.bytes(), parsed, translated);
-  if (rewritten) {
-    ctx.invalidate_parse();
-    stats_.add(0, ctx.packet().size());
+  const auto new_value = static_cast<std::uint32_t>(*hit);
+  net::Bytes& b = ctx.bytes();
+  if (parsed != nullptr) {
+    // Cannot fail: the parse is ok and carries an outer IPv4 header.
+    const net::Ipv4Address translated{new_value};
+    if (source) {
+      net::rewrite_ipv4_src(b, *parsed, translated);
+    } else {
+      net::rewrite_ipv4_dst(b, *parsed, translated);
+    }
+  } else if (old_value != new_value) {
+    // The exact edits rewrite_ipv4_src/dst performs on this shape: address
+    // write plus RFC 1624 incremental patches of the IPv4 checksum and the
+    // L4 pseudo-header checksum.
+    net::write_be32(b, addr_offset, new_value);
+    net::write_be16(b, 24, net::checksum_incremental_update32(
+                               net::read_be16(b, 24), old_value, new_value));
+    if (shape == kFastTcp) {
+      net::write_be16(b, 34 + 16,
+                      net::checksum_incremental_update32(
+                          net::read_be16(b, 34 + 16), old_value, new_value));
+    } else if (net::read_be16(b, 34 + 6) != 0) {
+      std::uint16_t patched = net::checksum_incremental_update32(
+          net::read_be16(b, 34 + 6), old_value, new_value);
+      if (patched == 0) patched = 0xffff;
+      net::write_be16(b, 34 + 6, patched);
+    }
   }
+  // An identity mapping still counts as translated, as the rewrite helpers
+  // report success for it.
+  ctx.invalidate_parse();
+  stats_.add(0, ctx.packet().size());
   return ppe::Verdict::forward;
-}
-
-void StaticNat::process_batch(ppe::PacketContext* const* ctxs,
-                              ppe::Verdict* out, std::size_t n) {
-  // Chunked to a fixed stack footprint; each chunk runs three phases —
-  // parse/key-extract (prefetching the next frame's bytes), one SoA table
-  // probe over the gathered keys, then the per-packet verdict/rewrite.
-  // Every per-packet effect (counters, byte edits, verdict) is exactly the
-  // one process() produces, so scalar and batched runs are bit-identical.
-  constexpr std::size_t kChunk = 64;
-  const std::size_t addr_offset =
-      config_.direction == NatDirection::source ? 26 : 30;  // l3 14 + 12/16
-  std::uint64_t keys[kChunk];
-  std::optional<std::uint64_t> hits[kChunk];
-  std::size_t packet_of_key[kChunk];
-  std::uint8_t shape_of_key[kChunk];
-  for (std::size_t start = 0; start < n; start += kChunk) {
-    const std::size_t count = std::min(kChunk, n - start);
-    std::size_t gathered = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      ppe::PacketContext& ctx = *ctxs[start + i];
-      if (start + i + 1 < n) {
-        __builtin_prefetch(ctxs[start + i + 1]->packet().data().data());
-      }
-      const net::Bytes& b = ctx.packet().data();
-      const std::uint8_t shape = fast_path_shape(b);
-      if (shape != kSlowPath) {
-        // Canonical frame: the match address sits at a fixed offset and
-        // parse_packet is guaranteed to agree, so skip building the full
-        // ParsedPacket on the per-packet path.
-        keys[gathered] = net::read_be32(b, addr_offset);
-        packet_of_key[gathered] = start + i;
-        shape_of_key[gathered] = shape;
-        ++gathered;
-        continue;
-      }
-      const auto& parsed = ctx.parsed();
-      if (!parsed.ok() || !parsed.outer.ipv4) {
-        stats_.add(2, ctx.packet().size());
-        out[start + i] = ppe::Verdict::forward;  // IPv4-only: pass through
-        continue;
-      }
-      const net::Ipv4Address match_addr =
-          config_.direction == NatDirection::source ? parsed.outer.ipv4->src
-                                                    : parsed.outer.ipv4->dst;
-      keys[gathered] = match_addr.value();
-      packet_of_key[gathered] = start + i;
-      shape_of_key[gathered] = kSlowPath;
-      ++gathered;
-    }
-    table_.lookup_batch(keys, hits, gathered);
-    for (std::size_t j = 0; j < gathered; ++j) {
-      ppe::PacketContext& ctx = *ctxs[packet_of_key[j]];
-      ppe::Verdict& verdict = out[packet_of_key[j]];
-      if (!hits[j]) {
-        stats_.add(1, ctx.packet().size());
-        switch (config_.miss_action) {
-          case NatMissAction::forward:
-            verdict = ppe::Verdict::forward;
-            break;
-          case NatMissAction::drop:
-            verdict = ppe::Verdict::drop;
-            break;
-          case NatMissAction::punt:
-            verdict = ppe::Verdict::to_control_plane;
-            break;
-        }
-        continue;
-      }
-      if (shape_of_key[j] != kSlowPath) {
-        // Inline the exact edits rewrite_ipv4_src/dst performs on this
-        // shape: address write plus RFC 1624 incremental patches of the
-        // IPv4 checksum and the L4 pseudo-header checksum.
-        net::Bytes& b = ctx.bytes();
-        const auto old_value = static_cast<std::uint32_t>(keys[j]);
-        const auto new_value = static_cast<std::uint32_t>(*hits[j]);
-        if (old_value != new_value) {
-          net::write_be32(b, addr_offset, new_value);
-          net::write_be16(b, 24,
-                          net::checksum_incremental_update32(
-                              net::read_be16(b, 24), old_value, new_value));
-          if (shape_of_key[j] == kFastTcp) {
-            net::write_be16(b, 34 + 16,
-                            net::checksum_incremental_update32(
-                                net::read_be16(b, 34 + 16), old_value,
-                                new_value));
-          } else if (net::read_be16(b, 34 + 6) != 0) {
-            std::uint16_t patched = net::checksum_incremental_update32(
-                net::read_be16(b, 34 + 6), old_value, new_value);
-            if (patched == 0) patched = 0xffff;
-            net::write_be16(b, 34 + 6, patched);
-          }
-        }
-        // rewrite_ipv4_addr reports success even for an identity mapping,
-        // so the translated counter advances either way.
-        ctx.invalidate_parse();
-        stats_.add(0, ctx.packet().size());
-        verdict = ppe::Verdict::forward;
-        continue;
-      }
-      const net::Ipv4Address translated{static_cast<std::uint32_t>(*hits[j])};
-      const bool rewritten =
-          config_.direction == NatDirection::source
-              ? net::rewrite_ipv4_src(ctx.bytes(), ctx.parsed(), translated)
-              : net::rewrite_ipv4_dst(ctx.bytes(), ctx.parsed(), translated);
-      if (rewritten) {
-        ctx.invalidate_parse();
-        stats_.add(0, ctx.packet().size());
-      }
-      verdict = ppe::Verdict::forward;
-    }
-  }
 }
 
 hw::ResourceBreakdown StaticNat::resource_breakdown(

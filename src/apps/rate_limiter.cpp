@@ -21,7 +21,10 @@ std::optional<RateLimiterConfig> RateLimiterConfig::parse(net::BytesView data) {
   config.max_subscribers = net::read_be32(data, 0);
   config.default_spec.rate_bps = net::read_be64(data, 4);
   config.default_spec.burst_bytes = net::read_be64(data, 12);
-  if (config.max_subscribers == 0) return std::nullopt;
+  if (config.max_subscribers == 0 ||
+      config.max_subscribers > ppe::kMaxDecodedTableCapacity) {
+    return std::nullopt;
+  }
   return config;
 }
 

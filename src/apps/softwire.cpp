@@ -104,7 +104,10 @@ std::optional<LwAftrConfig> LwAftrConfig::parse(net::BytesView data) {
   config.aftr_addr = net::Ipv6Address{octets};
   config.icmp_src = net::Ipv4Address{net::read_be32(data, 16)};
   config.binding_capacity = net::read_be32(data, 20);
-  if (config.binding_capacity == 0) return std::nullopt;
+  if (config.binding_capacity == 0 ||
+      config.binding_capacity > ppe::kMaxDecodedTableCapacity) {
+    return std::nullopt;
+  }
   config.miss_action = static_cast<SoftwireMissAction>(data[24]);
   config.hairpin = data[25] != 0;
   config.tunnel_hop_limit = data[26];

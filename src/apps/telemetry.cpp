@@ -168,7 +168,10 @@ std::optional<FlowStatsConfig> FlowStatsConfig::parse(net::BytesView data) {
       static_cast<std::int64_t>(net::read_be64(data, 4));
   config.active_timeout_ps =
       static_cast<std::int64_t>(net::read_be64(data, 12));
-  if (config.cache_capacity == 0) return std::nullopt;
+  if (config.cache_capacity == 0 ||
+      config.cache_capacity > ppe::kMaxDecodedTableCapacity) {
+    return std::nullopt;
+  }
   return config;
 }
 

@@ -97,9 +97,6 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   }
 
   ModuleTestbed testbed(std::move(config), std::move(app));
-  if (config_.batch_width != 0) {
-    testbed.sim().set_batch_width(config_.batch_width);
-  }
   out.result = testbed.run();
   out.metrics = out.result.metrics.with_label("shard", std::to_string(shard));
   out.flight = testbed.sim().flight().events();

@@ -49,11 +49,6 @@ struct ParallelTestbedConfig {
   /// Cloned per shard. Traffic seeds, flow-space addresses and MACs are
   /// re-derived per shard so each module sees its own traffic slice.
   TestbedConfig prototype{};
-  /// Event-dispatch batch width applied to every shard Simulation; 0 keeps
-  /// the process default (FLEXSFP_BATCH_WIDTH or 16). Batching drains only
-  /// the same-timestamp frontier, so any width yields bit-identical merged
-  /// results — the batch-differential tests sweep this knob to prove it.
-  std::size_t batch_width = 0;
 };
 
 /// Everything one shard measured.

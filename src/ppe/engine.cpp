@@ -72,14 +72,10 @@ sim::TimePs Engine::service_time(const net::Packet& packet) {
 }
 
 void Engine::finish(net::PacketPtr packet) {
-  // The engine serializes service, so exactly one packet completes per
-  // finish event; it still flows through the burst entry point so an app's
-  // vectorized process_batch override (e.g. StaticNat's SoA binding probe)
-  // is the one path every packet takes, scalar or batched.
+  // The engine serializes service: exactly one packet completes per finish
+  // event, and the app sees it alone.
   PacketContext ctx(*packet);
-  PacketContext* ctxs[1] = {&ctx};
-  Verdict verdict = Verdict::drop;
-  app_->process_batch(ctxs, &verdict, 1);
+  const Verdict verdict = app_->process(ctx);
 
   if (ctx.mirror_requested() && control_) {
     control_(sim().packet_pool().clone(*packet));

@@ -141,9 +141,8 @@ bool ExactMatchTable::cuckoo_make_room(std::size_t bucket, int depth) {
   return false;
 }
 
-std::optional<std::uint64_t> ExactMatchTable::probe(
-    const std::array<std::size_t, 2>& buckets, std::uint64_t key) const {
-  for (const std::size_t bucket : buckets) {
+std::optional<std::uint64_t> ExactMatchTable::lookup(std::uint64_t key) const {
+  for (const std::size_t bucket : bucket_indices(key)) {
     const std::size_t base = bucket * ways_;
     for (std::size_t way = 0; way < ways_; ++way) {
       if (valid_[base + way] && keys_[base + way] == key) {
@@ -152,30 +151,6 @@ std::optional<std::uint64_t> ExactMatchTable::probe(
     }
   }
   return std::nullopt;
-}
-
-std::optional<std::uint64_t> ExactMatchTable::lookup(std::uint64_t key) const {
-  return probe(bucket_indices(key), key);
-}
-
-void ExactMatchTable::lookup_batch(const std::uint64_t* keys,
-                                   std::optional<std::uint64_t>* out,
-                                   std::size_t n) const {
-  if (n == 0) return;
-  auto buckets = bucket_indices(keys[0]);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto current = buckets;
-    if (i + 1 < n) {
-      // Hash the next key and touch its bucket lines while the current
-      // compare is in flight — the probe never waits on a cold SRAM row.
-      buckets = bucket_indices(keys[i + 1]);
-      __builtin_prefetch(&keys_[buckets[0] * ways_]);
-      __builtin_prefetch(&keys_[buckets[1] * ways_]);
-      __builtin_prefetch(&valid_[buckets[0] * ways_]);
-      __builtin_prefetch(&valid_[buckets[1] * ways_]);
-    }
-    out[i] = probe(current, keys[i]);
-  }
 }
 
 bool ExactMatchTable::erase(std::uint64_t key) {

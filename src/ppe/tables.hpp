@@ -22,6 +22,14 @@
 
 namespace flexsfp::ppe {
 
+/// Largest table capacity a config decoder accepts (2^24 entries): 16x
+/// the biggest geometry any in-repo design builds, far past any device's
+/// LSRAM. Capacities between a device's LSRAM and this cap still decode,
+/// so the verifier's resource rules report them; the cap only stops a
+/// hostile bitstream from zero-filling ~2^32 slots before any rule runs.
+/// The table constructors stay unbounded for in-process callers.
+inline constexpr std::uint32_t kMaxDecodedTableCapacity = 1u << 24;
+
 /// Two-choice bucketed exact-match table: `ways`-associative buckets, two
 /// candidate buckets per key (d-left). Fixed geometry: capacity is
 /// allocated up front (it is SRAM); an insert fails when both candidate
@@ -45,11 +53,6 @@ class ExactMatchTable {
   /// at capacity (hardware would report this to the control plane).
   bool insert(std::uint64_t key, std::uint64_t value);
   [[nodiscard]] std::optional<std::uint64_t> lookup(std::uint64_t key) const;
-  /// Batched probe: out[i] = lookup(keys[i]), with key i+1's candidate
-  /// buckets prefetched while key i is compared — the datapath entry point
-  /// for PpeApp::process_batch overrides.
-  void lookup_batch(const std::uint64_t* keys,
-                    std::optional<std::uint64_t>* out, std::size_t n) const;
   bool erase(std::uint64_t key);
   void clear();
 
@@ -74,10 +77,6 @@ class ExactMatchTable {
  private:
   [[nodiscard]] std::array<std::size_t, 2> bucket_indices(
       std::uint64_t key) const;
-  /// Scan one key's two candidate buckets (the shared probe kernel of
-  /// lookup and lookup_batch).
-  [[nodiscard]] std::optional<std::uint64_t> probe(
-      const std::array<std::size_t, 2>& buckets, std::uint64_t key) const;
   /// Free one way in `bucket` by relocating residents to their alternate
   /// buckets (bounded-depth cuckoo walk). Returns false when no chain of
   /// at most max_depth moves exists.

@@ -6,7 +6,7 @@
 
 namespace flexsfp::sim {
 
-EventQueue::EventQueue() : ring_(kBuckets) { batch_.reserve(64); }
+EventQueue::EventQueue() : ring_(kBuckets) {}
 
 EventQueue::~EventQueue() {
   // Destroy every pending closure; node memory is slab-owned.
@@ -188,55 +188,6 @@ void EventQueue::redistribute_overflow() {
 TimePs EventQueue::min_time() {
   ensure_current();
   return current_.front().at;
-}
-
-std::size_t EventQueue::drain_front(std::size_t max_events) {
-  ensure_current();
-  const TimePs at = current_.front().at;
-  // Same-time events always share the current bucket (same `at` ⇒ same
-  // bucket index), so the whole frontier is in current_ — pre-pop it before
-  // invoking anything. Closures invoked below can only schedule events with
-  // larger seqs, which sort after every pre-popped ref, so this order is
-  // exactly the scalar pop-per-event order.
-  batch_.clear();
-  while (batch_.size() < max_events && !current_.empty() &&
-         current_.front().at == at) {
-    std::pop_heap(current_.begin(), current_.end(), Later{});
-    batch_.push_back(current_.back());
-    current_.pop_back();
-  }
-  // Mirror the scalar pop()/invoke()/~Popped cadence per event: size_ drops
-  // just before the invoke and the node rejoins the free list just after,
-  // so watermark and slab-allocation trajectories stay bit-identical.
-  std::size_t i = 0;
-  try {
-    for (; i < batch_.size(); ++i) {
-      Node* node = batch_[i].node;
-      --size_;
-      node->invoke(node->storage);
-      node->destroy(node->storage);
-      node->destroy = nullptr;
-      release_node(node);
-    }
-  } catch (...) {
-    // size_ was already decremented for the throwing event; consume it
-    // (destroy + release) exactly as ~Popped would have.
-    Node* node = batch_[i].node;
-    if (node->destroy != nullptr) node->destroy(node->storage);
-    release_node(node);
-    ++i;
-    // Events never invoked go back on the heap; their size_ share was
-    // never decremented.
-    for (; i < batch_.size(); ++i) {
-      current_.push_back(batch_[i]);
-      std::push_heap(current_.begin(), current_.end(), Later{});
-    }
-    batch_.clear();
-    throw;
-  }
-  const std::size_t invoked = batch_.size();
-  batch_.clear();
-  return invoked;
 }
 
 EventQueue::Popped EventQueue::pop() {

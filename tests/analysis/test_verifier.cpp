@@ -10,7 +10,9 @@
 #include "apps/bpf_filter.hpp"
 #include "apps/chain.hpp"
 #include "apps/nat.hpp"
+#include "apps/rate_limiter.hpp"
 #include "apps/register.hpp"
+#include "apps/softwire.hpp"
 #include "apps/telemetry.hpp"
 #include "hw/bitstream.hpp"
 
@@ -61,6 +63,34 @@ TEST(VerifierFSL000, RejectedConfigInBitstream) {
   const auto report = PipelineVerifier{}.verify_bitstream(bitstream);
   ASSERT_EQ(report.by_rule("FSL000").size(), 1u);
   EXPECT_EQ(report.by_rule("FSL000")[0].severity, Severity::error);
+}
+
+TEST(VerifierFSL000, OversizedTableCapacityInBitstream) {
+  // A hostile capacity is refused by the config decoder before the factory
+  // builds (and zero-fills) the table, so the gate reports instead of
+  // throwing bad_alloc.
+  apps::register_builtin_apps();
+  apps::NatConfig nat;
+  nat.table_capacity = 0xffffffffu;
+  apps::LwAftrConfig lwaftr;
+  lwaftr.binding_capacity = 0xffffffffu;
+  apps::FlowStatsConfig flowstats;
+  flowstats.cache_capacity = 0xffffffffu;
+  apps::RateLimiterConfig ratelimit;
+  ratelimit.max_subscribers = 0xffffffffu;
+  const std::pair<const char*, net::Bytes> designs[] = {
+      {"nat", nat.serialize()},
+      {"lwaftr", lwaftr.serialize()},
+      {"flowstats", flowstats.serialize()},
+      {"ratelimit", ratelimit.serialize()}};
+  for (const auto& [app, config] : designs) {
+    const auto bitstream = hw::Bitstream::create(app, config, hw::AuthKey{1});
+    const auto report = PipelineVerifier{}.verify_bitstream(bitstream);
+    ASSERT_EQ(report.by_rule("FSL000").size(), 1u) << app;
+    EXPECT_NE(report.by_rule("FSL000")[0].message.find("factory rejected"),
+              std::string::npos)
+        << app;
+  }
 }
 
 TEST(VerifierFSL001, PaperNatFitsWithUtilizationNote) {

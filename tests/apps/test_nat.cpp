@@ -131,23 +131,95 @@ TEST(StaticNat, RemoveMappingStopsTranslation) {
   EXPECT_EQ(net::parse_packet(packet).outer.ipv4->src, ip(10, 0, 0, 1));
 }
 
-// --- batched dispatch equivalence -------------------------------------------
-// process_batch takes a byte-peek fast path for plain untagged IPv4 TCP/UDP
-// and falls back to the full parser for everything else. Whatever the route,
-// the outcome must be indistinguishable from scalar process() — verdicts,
-// rewritten bytes and counters alike.
+// --- fixed-offset fast path vs the parser ----------------------------------
+// StaticNat::process classifies plain untagged IPv4 TCP/UDP frames by byte
+// peeks at fixed offsets and sends everything else through the parser. The
+// reference below shares no code with that shape check: it always runs
+// parse_packet, translates through translation_for and edits with the
+// rewrite helpers. Verdicts, bytes and counters must agree on every frame.
 
-std::vector<net::Packet> batch_shapes() {
-  using testing::ip;
-  std::vector<net::Packet> shapes;
-  // Fast-path candidates: plain untagged IPv4.
-  shapes.push_back(
-      testing::tcp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 1111, 80));
-  shapes.push_back(udp_packet(ip(10, 0, 0, 2), ip(8, 8, 4, 4), 2222, 53));
-  shapes.push_back(udp_packet(ip(10, 9, 9, 9), ip(8, 8, 8, 8), 7, 7));  // miss
-  shapes.push_back(
-      udp_packet(ip(10, 0, 0, 3), ip(9, 9, 9, 9), 3333, 53));  // identity map
-  // Slow-path shapes the byte peek must reject:
+class ParserReference {
+ public:
+  explicit ParserReference(const StaticNat& nat) : nat_(nat) {}
+
+  ppe::Verdict process(net::Packet& packet) {
+    const auto parsed = net::parse_packet(packet);
+    if (!parsed.ok() || !parsed.outer.ipv4) {
+      return count(2, packet, ppe::Verdict::forward);
+    }
+    const bool source = nat_.config().direction == NatDirection::source;
+    const auto translated = nat_.translation_for(
+        source ? parsed.outer.ipv4->src : parsed.outer.ipv4->dst);
+    if (!translated) return count(1, packet, miss_verdict());
+    const bool rewritten =
+        source ? net::rewrite_ipv4_src(packet.data(), parsed, *translated)
+               : net::rewrite_ipv4_dst(packet.data(), parsed, *translated);
+    EXPECT_TRUE(rewritten);
+    return count(0, packet, ppe::Verdict::forward);
+  }
+
+  /// Counters equal to the app's, packets and bytes alike.
+  void expect_counters_match() const {
+    const auto counters = nat_.counters();
+    ASSERT_EQ(counters.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(counters[i].packets, packets_[i]) << "counter " << i;
+      EXPECT_EQ(counters[i].bytes, bytes_[i]) << "counter " << i;
+    }
+  }
+
+ private:
+  ppe::Verdict miss_verdict() const {
+    switch (nat_.config().miss_action) {
+      case NatMissAction::forward: return ppe::Verdict::forward;
+      case NatMissAction::drop: return ppe::Verdict::drop;
+      case NatMissAction::punt: return ppe::Verdict::to_control_plane;
+    }
+    return ppe::Verdict::forward;
+  }
+
+  ppe::Verdict count(std::size_t index, const net::Packet& packet,
+                     ppe::Verdict verdict) {
+    ++packets_[index];
+    bytes_[index] += packet.size();
+    return verdict;
+  }
+
+  const StaticNat& nat_;
+  std::uint64_t packets_[3]{};
+  std::uint64_t bytes_[3]{};
+};
+
+/// Mappings that hit, miss and map to themselves in either direction.
+void install_mappings(StaticNat& nat) {
+  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 1), ip(203, 0, 113, 1)));
+  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 2), ip(203, 0, 113, 2)));
+  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 3), ip(10, 0, 0, 3)));
+  ASSERT_TRUE(nat.add_mapping(ip(8, 8, 8, 8), ip(198, 51, 100, 8)));
+  ASSERT_TRUE(nat.add_mapping(ip(9, 9, 9, 9), ip(9, 9, 9, 9)));
+}
+
+/// Fast-path frames: plain untagged IPv4 TCP and UDP.
+std::vector<net::Packet> fast_shapes() {
+  return {testing::tcp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 1111, 80),
+          udp_packet(ip(10, 0, 0, 2), ip(8, 8, 4, 4), 2222, 53),
+          udp_packet(ip(10, 9, 9, 9), ip(8, 8, 8, 8), 7, 7),
+          udp_packet(ip(10, 0, 0, 3), ip(9, 9, 9, 9), 3333, 53),
+          udp_packet(ip(10, 0, 0, 1), ip(7, 7, 7, 7), 4444, 53, 0),
+          // One byte-37 mutation away from the VXLAN port.
+          udp_packet(ip(10, 0, 0, 2), ip(8, 8, 8, 8), 5353,
+                     net::VxlanHeader::udp_port - 1)};
+}
+
+std::vector<net::Packet> shape_zoo() {
+  std::vector<net::Packet> shapes = fast_shapes();
+  {  // UDP without a checksum: the rewrite must leave it zero
+    auto no_csum = udp_packet(ip(10, 0, 0, 2), ip(8, 8, 8, 8), 1212, 53);
+    no_csum.data()[40] = 0;
+    no_csum.data()[41] = 0;
+    shapes.push_back(std::move(no_csum));
+  }
+  // Shapes the shape check must leave to the parser:
   shapes.push_back(net::PacketBuilder()  // 802.1Q tag shifts the IP header
                        .ethernet(testing::mac(2), testing::mac(1))
                        .vlan(42)
@@ -159,7 +231,7 @@ std::vector<net::Packet> batch_shapes() {
                               net::VxlanHeader::udp_port));  // tunnel port
   {  // IPv4 fragment: L4 fields are payload, not a UDP header
     auto frag = udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 6666, 53);
-    frag.data()[20] |= 0x20;  // more-fragments flag (both paths see it)
+    frag.data()[20] |= 0x20;  // more-fragments flag
     shapes.push_back(std::move(frag));
   }
   {  // non-IPv4 ethertype
@@ -182,102 +254,85 @@ std::vector<net::Packet> batch_shapes() {
   return shapes;
 }
 
-void install_batch_mappings(StaticNat& nat) {
-  using testing::ip;
-  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 1), ip(203, 0, 113, 1)));
-  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 2), ip(203, 0, 113, 2)));
-  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 3), ip(10, 0, 0, 3)));  // identity
-}
-
-void expect_batch_equals_scalar(NatMissAction miss_action) {
-  for (const std::size_t n : {std::size_t{8}, std::size_t{16}}) {
-    NatConfig config;
-    config.miss_action = miss_action;
-    StaticNat batched(config);
-    StaticNat scalar(config);
-    install_batch_mappings(batched);
-    install_batch_mappings(scalar);
-
-    const auto shapes = batch_shapes();
-    std::vector<net::Packet> batch_pkts;
-    std::vector<net::Packet> scalar_pkts;
-    for (std::size_t i = 0; i < n; ++i) {
-      batch_pkts.push_back(shapes[i % shapes.size()]);
-      scalar_pkts.push_back(shapes[i % shapes.size()]);
+/// Runs every frame through StaticNat and the reference, in both
+/// directions, and demands equal verdicts, bytes and counters.
+void expect_matches_parser(NatMissAction miss_action,
+                           const std::vector<net::Packet>& frames) {
+  for (const NatDirection direction :
+       {NatDirection::source, NatDirection::destination}) {
+    SCOPED_TRACE(direction == NatDirection::source ? "source" : "destination");
+    StaticNat nat(NatConfig{.direction = direction, .miss_action = miss_action});
+    install_mappings(nat);
+    ParserReference reference(nat);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      net::Packet fast = frames[i];
+      net::Packet oracle = frames[i];
+      const ppe::Verdict expected = reference.process(oracle);
+      ASSERT_EQ(run(nat, fast), expected) << "frame " << i;
+      ASSERT_EQ(fast.data(), oracle.data()) << "frame " << i;
     }
-
-    std::vector<ppe::PacketContext> ctxs;
-    ctxs.reserve(n);
-    std::vector<ppe::PacketContext*> ctx_ptrs;
-    for (auto& packet : batch_pkts) {
-      ctxs.emplace_back(packet);
-      ctx_ptrs.push_back(&ctxs.back());
-    }
-    std::vector<ppe::Verdict> verdicts(n, ppe::Verdict::drop);
-    batched.process_batch(ctx_ptrs.data(), verdicts.data(), n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(verdicts[i], run(scalar, scalar_pkts[i]))
-          << "packet " << i << " n " << n;
-      EXPECT_EQ(batch_pkts[i].data(), scalar_pkts[i].data())
-          << "packet " << i << " n " << n;
-    }
-    const auto a = batched.counters();
-    const auto b = scalar.counters();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].packets, b[i].packets) << "counter " << i;
-      EXPECT_EQ(a[i].bytes, b[i].bytes) << "counter " << i;
-    }
+    reference.expect_counters_match();
   }
 }
 
-TEST(StaticNatBatch, MatchesScalarAcrossShapesForwardMiss) {
-  expect_batch_equals_scalar(NatMissAction::forward);
+TEST(StaticNatFastPath, MatchesParserAcrossShapesForwardMiss) {
+  expect_matches_parser(NatMissAction::forward, shape_zoo());
 }
 
-TEST(StaticNatBatch, MatchesScalarAcrossShapesDropMiss) {
-  expect_batch_equals_scalar(NatMissAction::drop);
+TEST(StaticNatFastPath, MatchesParserAcrossShapesDropMiss) {
+  expect_matches_parser(NatMissAction::drop, shape_zoo());
 }
 
-TEST(StaticNatBatch, MatchesScalarAcrossShapesPuntMiss) {
-  expect_batch_equals_scalar(NatMissAction::punt);
+TEST(StaticNatFastPath, MatchesParserAcrossShapesPuntMiss) {
+  expect_matches_parser(NatMissAction::punt, shape_zoo());
 }
 
-TEST(StaticNatBatch, DestinationModeMatchesScalar) {
-  using testing::ip;
-  NatConfig config;
-  config.direction = NatDirection::destination;
-  StaticNat batched(config);
-  StaticNat scalar(config);
-  ASSERT_TRUE(batched.add_mapping(ip(203, 0, 113, 5), ip(10, 0, 0, 5)));
-  ASSERT_TRUE(scalar.add_mapping(ip(203, 0, 113, 5), ip(10, 0, 0, 5)));
+TEST(StaticNatFastPath, MutatedFramesMatchParser) {
+  // Every value at every byte the shape check reads (ethertype, version/
+  // ihl, flags/fragment offset, protocol, UDP destination port, TCP data
+  // offset), truncations just short of each header, and seeded mutations of
+  // the header bytes it does not read.
+  constexpr std::size_t kCheckedBytes[] = {12, 13, 14, 20, 21, 23, 36, 37, 46};
+  std::vector<net::Packet> frames;
+  sim::Rng rng(12);
+  for (const net::Packet& base : fast_shapes()) {
+    for (const std::size_t at : kCheckedBytes) {
+      for (unsigned value = 0; value < 256; ++value) {
+        net::Packet mutated = base;
+        mutated.data()[at] = static_cast<std::uint8_t>(value);
+        frames.push_back(std::move(mutated));
+      }
+    }
+    for (const std::size_t size : {33u, 41u, 53u}) {
+      net::Packet runt = base;
+      runt.data().resize(size);
+      frames.push_back(std::move(runt));
+    }
+    for (int i = 0; i < 256; ++i) {
+      net::Packet mutated = base;
+      mutated.data()[rng.uniform(0, 53)] =
+          static_cast<std::uint8_t>(rng.next_u64());
+      frames.push_back(std::move(mutated));
+    }
+  }
+  for (const NatMissAction miss :
+       {NatMissAction::forward, NatMissAction::drop, NatMissAction::punt}) {
+    expect_matches_parser(miss, frames);
+  }
+}
 
-  std::vector<net::Packet> batch_pkts;
-  std::vector<net::Packet> scalar_pkts;
+TEST(StaticNatFastPath, DestinationModeKeepsChecksumsValid) {
+  StaticNat nat(NatConfig{.direction = NatDirection::destination});
+  ASSERT_TRUE(nat.add_mapping(ip(203, 0, 113, 5), ip(10, 0, 0, 5)));
   for (int i = 0; i < 8; ++i) {
-    auto packet = testing::tcp_packet(ip(8, 8, 8, 8),
-                                      i % 2 == 0 ? ip(203, 0, 113, 5)
-                                                 : ip(203, 0, 113, 6),
-                                      53, 1000 + i);
-    batch_pkts.push_back(packet);
-    scalar_pkts.push_back(packet);
-  }
-  std::vector<ppe::PacketContext> ctxs;
-  ctxs.reserve(batch_pkts.size());
-  std::vector<ppe::PacketContext*> ctx_ptrs;
-  for (auto& packet : batch_pkts) {
-    ctxs.emplace_back(packet);
-    ctx_ptrs.push_back(&ctxs.back());
-  }
-  std::vector<ppe::Verdict> verdicts(batch_pkts.size(), ppe::Verdict::drop);
-  batched.process_batch(ctx_ptrs.data(), verdicts.data(), batch_pkts.size());
-  for (std::size_t i = 0; i < batch_pkts.size(); ++i) {
-    EXPECT_EQ(verdicts[i], run(scalar, scalar_pkts[i])) << "packet " << i;
-    EXPECT_EQ(batch_pkts[i].data(), scalar_pkts[i].data()) << "packet " << i;
-    // Rewritten packets still carry valid checksums.
-    const auto parsed = net::parse_packet(batch_pkts[i]);
-    EXPECT_TRUE(net::validate_packet(parsed, batch_pkts[i].data()).empty());
+    auto packet = testing::tcp_packet(
+        ip(8, 8, 8, 8), i % 2 == 0 ? ip(203, 0, 113, 5) : ip(203, 0, 113, 6),
+        53, static_cast<std::uint16_t>(1000 + i));
+    EXPECT_EQ(run(nat, packet), ppe::Verdict::forward);
+    const auto parsed = net::parse_packet(packet);
+    EXPECT_EQ(parsed.outer.ipv4->dst,
+              i % 2 == 0 ? ip(10, 0, 0, 5) : ip(203, 0, 113, 6));
+    EXPECT_TRUE(net::validate_packet(parsed, packet.data()).empty());
   }
 }
 
@@ -298,6 +353,17 @@ TEST(NatConfig, ParseRejectsGarbage) {
   EXPECT_FALSE(NatConfig::parse(net::Bytes{9, 0, 0, 0, 0, 1}).has_value());
   // Zero capacity rejected.
   EXPECT_FALSE(NatConfig::parse(net::Bytes{0, 0, 0, 0, 0, 0}).has_value());
+}
+
+TEST(NatConfig, ParseBoundsTableCapacity) {
+  NatConfig config;
+  config.table_capacity = ppe::kMaxDecodedTableCapacity;
+  EXPECT_TRUE(NatConfig::parse(config.serialize()).has_value());
+  for (const std::uint32_t oversized :
+       {ppe::kMaxDecodedTableCapacity + 1, 0xffffffffu}) {
+    config.table_capacity = oversized;
+    EXPECT_FALSE(NatConfig::parse(config.serialize()).has_value()) << oversized;
+  }
 }
 
 TEST(StaticNat, TranslationForQueriesTable) {

@@ -358,6 +358,18 @@ TEST(LwAftrApp, ConfigRoundTripsThroughSerialization) {
   EXPECT_EQ(LwAftrConfig::parse(net::Bytes{1, 2, 3}), std::nullopt);
 }
 
+TEST(LwAftrApp, ConfigParseBoundsBindingCapacity) {
+  LwAftrConfig config = aftr_config();
+  config.binding_capacity = ppe::kMaxDecodedTableCapacity;
+  EXPECT_TRUE(LwAftrConfig::parse(config.serialize()).has_value());
+  for (const std::uint32_t oversized :
+       {ppe::kMaxDecodedTableCapacity + 1, 0xffffffffu}) {
+    config.binding_capacity = oversized;
+    EXPECT_EQ(LwAftrConfig::parse(config.serialize()), std::nullopt)
+        << oversized;
+  }
+}
+
 TEST(LwAftrApp, ProfileDeclaresTablesAndCounters) {
   LwAftr app(aftr_config());
   const ppe::StageProfile profile = app.profile();

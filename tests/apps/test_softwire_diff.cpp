@@ -5,9 +5,9 @@
 //     from scratch (no shared code with the in-place edit primitives), and
 //   * the AFTR<->B4 round trip: encap at one end, decap at the other must be
 //     a byte-exact identity for every tunnel-eligible shape.
-// A third section replays the same shape zoo through process_batch at
-// widths {1, 8, 16} and demands verdict/byte/counter equality with scalar
-// process() — batching is a dispatch window, never a semantics change.
+// A third section replays the same shape zoo through PpeApp's default
+// process_batch loop in bursts of {1, 8, 16} and demands verdict/byte/
+// counter equality with per-packet process() calls.
 #include <map>
 
 #include <gtest/gtest.h>

@@ -81,39 +81,6 @@ TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
   }
 }
 
-TEST(ParallelTestbed, BatchWidthIsInvisibleAcrossWorkerCounts) {
-  // The batched dispatcher drains only the same-timestamp frontier, so the
-  // batch width must be observable solely as throughput: merged snapshots,
-  // counters and stats are bit-identical for every (width, workers) pair.
-  auto config = two_way_config(17, 4);
-  config.batch_width = 1;
-  config.workers = 1;
-  ParallelTestbed oracle_bed(config, nat_factory());
-  const auto oracle = oracle_bed.run();
-  ASSERT_GT(oracle.combined.sent.packets(), 0u);
-  ASSERT_FALSE(oracle.combined_metrics.empty());
-
-  for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      auto variant = two_way_config(17, 4);
-      variant.batch_width = width;
-      variant.workers = workers;
-      ParallelTestbed bed(variant, nat_factory());
-      const auto run = bed.run();
-      expect_stats_identical(run.combined, oracle.combined);
-      EXPECT_EQ(run.combined_counters, oracle.combined_counters)
-          << "width " << width << " workers " << workers;
-      EXPECT_EQ(run.combined_metrics, oracle.combined_metrics)
-          << "width " << width << " workers " << workers;
-      ASSERT_EQ(run.shards.size(), oracle.shards.size());
-      for (std::size_t i = 0; i < run.shards.size(); ++i) {
-        EXPECT_EQ(run.shards[i].flight, oracle.shards[i].flight)
-            << "width " << width << " workers " << workers << " shard " << i;
-      }
-    }
-  }
-}
-
 TEST(ParallelTestbed, RepeatedParallelRunsAreDeterministic) {
   auto config = two_way_config(3, 3);
   config.workers = 3;

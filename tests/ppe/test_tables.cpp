@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -51,39 +50,6 @@ TEST(ExactMatchTable, BucketOverflowIsPossibleAndCounted) {
   }
   EXPECT_TRUE(saw_overflow);
   EXPECT_GT(table.bucket_overflows(), 0u);
-}
-
-TEST(ExactMatchTable, LookupBatchMatchesScalarLookups) {
-  // The SoA batched probe must be out[i] = lookup(keys[i]) verbatim — hits,
-  // misses, duplicate keys and erased keys included — for every batch size
-  // the dispatcher uses.
-  ExactMatchTable table("t", 4096, 32, 64);
-  sim::Rng rng(7);
-  std::vector<std::uint64_t> inserted;
-  for (int i = 0; i < 3000; ++i) {
-    const std::uint64_t key = rng.next_u64();
-    if (table.insert(key, key ^ 0xabcdefull)) inserted.push_back(key);
-  }
-  for (std::size_t i = 0; i < inserted.size(); i += 5) {
-    ASSERT_TRUE(table.erase(inserted[i]));  // mix erased keys into the probes
-  }
-
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{8}, std::size_t{16}, std::size_t{64}}) {
-    std::vector<std::uint64_t> keys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (i % 3) {
-        case 0: keys[i] = inserted[(i * 7) % inserted.size()]; break;
-        case 1: keys[i] = rng.next_u64(); break;       // near-certain miss
-        default: keys[i] = keys[i > 0 ? i - 1 : 0];    // duplicate of prior
-      }
-    }
-    std::vector<std::optional<std::uint64_t>> out(n);
-    table.lookup_batch(keys.data(), out.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], table.lookup(keys[i])) << "n " << n << " i " << i;
-    }
-  }
 }
 
 TEST(ExactMatchTable, FourWayAchievesHighLoadFactor) {
