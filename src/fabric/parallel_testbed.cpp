@@ -1,6 +1,5 @@
 #include "fabric/parallel_testbed.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -9,23 +8,6 @@
 #include "sim/random.hpp"
 
 namespace flexsfp::fabric {
-
-std::size_t ShardPlan::widest_worker() const {
-  std::size_t widest = 0;
-  for (const auto& lane : assignment) widest = std::max(widest, lane.size());
-  return widest;
-}
-
-ShardPlan plan_shards(std::size_t shards, unsigned requested_workers) {
-  ShardPlan plan;
-  plan.shards = shards;
-  plan.workers = sim::resolve_workers(shards, requested_workers);
-  plan.assignment.resize(plan.workers);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    plan.assignment[shard % plan.workers].push_back(shard);
-  }
-  return plan;
-}
 
 ParallelTestbed::ParallelTestbed(ParallelTestbedConfig config,
                                  AppFactory app_factory)
@@ -125,7 +107,7 @@ ParallelRunResult ParallelTestbed::run_sequential() { return run_with(1); }
 
 ParallelRunResult ParallelTestbed::run_with(unsigned workers) {
   ParallelRunResult out;
-  out.workers_used = sim::resolve_workers(config_.shards, workers);
+  out.workers_used = sim::resolve_threads(config_.shards, workers);
   out.shards.resize(config_.shards);
 
   // Apps are built up front on the caller thread: the factory may touch

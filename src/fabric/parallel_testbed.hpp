@@ -24,20 +24,6 @@ namespace flexsfp::fabric {
 /// call must return an identically configured instance.
 using AppFactory = std::function<ppe::PpeAppPtr()>;
 
-/// Static shard -> worker assignment (round-robin). Scheduling is actually
-/// dynamic (work stealing); the plan exists for capacity reasoning and
-/// display.
-struct ShardPlan {
-  std::size_t shards = 0;
-  unsigned workers = 0;
-  std::vector<std::vector<std::size_t>> assignment;  // [worker] -> shard ids
-
-  [[nodiscard]] std::size_t widest_worker() const;
-};
-
-[[nodiscard]] ShardPlan plan_shards(std::size_t shards,
-                                    unsigned requested_workers);
-
 struct ParallelTestbedConfig {
   /// One FlexSFP module (= one switch port) per shard.
   std::size_t shards = 8;

@@ -1,18 +1,19 @@
 // Deterministic fan-out for shard-parallel experiments.
 //
-// Two execution shapes share the same worker-pool discipline:
+// One primitive, run_lockstep_rounds, serves both execution shapes:
 //
-//   * parallel_for_each_shard — shards share no state at all (one FlexSFP
-//     module per shard, one Simulation each): run each shard's closure on
-//     some worker thread, join once, merge by shard index on the caller
-//     thread. Scheduling order affects only wall-clock time, never results.
-//   * run_lockstep_rounds — shards exchange timestamped packets through a
-//     fabric: they advance in bounded time windows (conservative
-//     synchronization, the link propagation delay is the lookahead) and
-//     meet at a barrier after every window, where the caller's exchange
-//     step moves the boundary batches. Worker count still never affects
-//     results: all cross-shard mutation happens in the single-threaded
-//     exchange step.
+//   * shards that exchange timestamped packets through a fabric advance in
+//     bounded time windows (conservative synchronization, the link
+//     propagation delay is the lookahead) and meet at a barrier after
+//     every window, where the caller's exchange step moves the boundary
+//     batches;
+//   * shards that share no state at all (one FlexSFP module per shard, one
+//     Simulation each) are the degenerate case: one round whose exchange
+//     returns false, then a merge by shard index on the caller thread.
+//
+// Worker count never affects results: scheduling order moves only
+// wall-clock time, and all cross-shard mutation happens in the
+// single-threaded exchange step.
 #pragma once
 
 #include <cstddef>
@@ -20,20 +21,13 @@
 
 namespace flexsfp::sim {
 
-/// Run `body(0) .. body(jobs-1)`, each exactly once, on up to `workers`
-/// threads. `workers <= 1` runs everything on the caller thread in index
-/// order — the sequential oracle. Jobs must not share mutable state.
-/// Exceptions thrown by a job are rethrown on the caller thread after all
-/// workers join (the first one, by shard index).
-void parallel_for_each_shard(std::size_t jobs, unsigned workers,
-                             const std::function<void(std::size_t)>& body);
-
 /// Lockstep round engine for conservatively synchronized shards. Rounds
 /// alternate two phases until `exchange` says stop:
 ///
 ///   1. advance — `advance(0) .. advance(jobs-1)`, each exactly once,
-///      spread over up to `workers` threads (same contract as
-///      parallel_for_each_shard: advance bodies share no mutable state).
+///      spread over up to resolve_threads(jobs, workers) threads; advance
+///      bodies share no mutable state. `workers <= 1` runs them on the
+///      caller thread in index order — the sequential oracle.
 ///   2. exchange — `exchange()` runs on the caller thread while every
 ///      worker is parked at the barrier; this is the only place cross-shard
 ///      state may be touched. Return true to run another round.
@@ -46,18 +40,12 @@ void run_lockstep_rounds(std::size_t jobs, unsigned workers,
                          const std::function<void(std::size_t)>& advance,
                          const std::function<bool()>& exchange);
 
-/// Worker count a request resolves to for *capacity* reasoning: 0 means
-/// "one per job, capped by the hardware"; anything else is capped by the
-/// job count (display/planning semantics — see resolve_threads for what is
-/// actually spawned).
-[[nodiscard]] unsigned resolve_workers(std::size_t jobs, unsigned requested);
-
-/// Worker threads actually spawned for a request: resolve_workers()
-/// additionally capped at the hardware thread count. Explicitly requesting
-/// more workers than the machine has used to oversubscribe — on a small
-/// host the context-switch thrash made workers=4 *slower* than sequential —
-/// and since shard results never depend on the thread count, capping is
-/// pure win.
+/// Worker threads actually spawned for a request: 0 means "one per
+/// hardware thread", and any request is capped by the job count and by the
+/// hardware thread count. Explicitly requesting more workers than the
+/// machine has used to oversubscribe — on a small host the context-switch
+/// thrash made workers=4 *slower* than sequential — and since shard
+/// results never depend on the thread count, capping is pure win.
 [[nodiscard]] unsigned resolve_threads(std::size_t jobs, unsigned requested);
 
 }  // namespace flexsfp::sim

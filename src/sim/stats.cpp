@@ -34,11 +34,7 @@ void LatencyHistogram::record(TimePs latency) {
   if (latency > max_) max_ = latency;
   sum_ns_ += to_nanos(latency);
   ++count_;
-  if (latency != last_latency_) {
-    last_latency_ = latency;
-    last_bucket_ = bucket_for(latency);
-  }
-  ++buckets_[last_bucket_];
+  ++buckets_[bucket_for(latency)];
 }
 
 TimePs LatencyHistogram::percentile(double p) const {
@@ -90,8 +86,6 @@ void LatencyHistogram::reset() {
   sum_ns_ = 0;
   min_ = 0;
   max_ = 0;
-  last_latency_ = -1;
-  last_bucket_ = 0;
 }
 
 void WindowedRate::record(TimePs now, std::size_t bytes) {

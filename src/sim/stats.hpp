@@ -116,11 +116,6 @@ class LatencyHistogram {
   double sum_ns_ = 0;
   TimePs min_ = 0;
   TimePs max_ = 0;
-  // One-entry memo over bucket_for: identical latencies arrive in long runs
-  // (fixed-size sweeps traverse the same service chain), and bucket_for
-  // costs a log2 per call.
-  TimePs last_latency_ = -1;
-  std::size_t last_bucket_ = 0;
 };
 
 /// The canonical mergeable bundle of run statistics: everything a testbed

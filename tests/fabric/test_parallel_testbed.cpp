@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "apps/nat.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 
 namespace flexsfp::fabric {
@@ -173,18 +175,19 @@ TEST(ParallelTestbed, ShardsUseHashedSeedStreamsAndDisjointFlowSpace) {
   EXPECT_NE(s0.src_mac, s1.src_mac);
 }
 
-TEST(ParallelTestbed, ShardPlanRoundRobinsAndCapsWorkers) {
-  const auto plan = plan_shards(8, 3);
-  EXPECT_EQ(plan.workers, 3u);
-  ASSERT_EQ(plan.assignment.size(), 3u);
-  EXPECT_EQ(plan.assignment[0].size(), 3u);
-  EXPECT_EQ(plan.assignment[1].size(), 3u);
-  EXPECT_EQ(plan.assignment[2].size(), 2u);
-  EXPECT_EQ(plan.widest_worker(), 3u);
-
-  // More workers than shards is capped; zero means "use the hardware".
-  EXPECT_EQ(plan_shards(2, 16).workers, 2u);
-  EXPECT_GE(plan_shards(64, 0).workers, 1u);
+TEST(ParallelTestbed, WorkersUsedNeverOversubscribesTheHardware) {
+  // One more shard and one more requested worker than the machine has
+  // threads: the run spawns at most hardware_concurrency() threads, and
+  // workers_used must report that, not the request.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  ParallelTestbedConfig config = two_way_config(3, hardware + 1);
+  config.workers = hardware + 1;
+  config.prototype.edge_traffic->duration = 5_us;
+  config.prototype.optical_traffic->duration = 5_us;
+  ParallelTestbed bed(config, nat_factory());
+  const ParallelRunResult run = bed.run();
+  EXPECT_EQ(run.workers_used, hardware);
+  EXPECT_EQ(run.shards.size(), hardware + 1);
 }
 
 TEST(ParallelTestbed, RejectsDegenerateConfigs) {
@@ -193,24 +196,6 @@ TEST(ParallelTestbed, RejectsDegenerateConfigs) {
   EXPECT_THROW(ParallelTestbed(config, nat_factory()), std::invalid_argument);
   config.shards = 1;
   EXPECT_THROW(ParallelTestbed(config, nullptr), std::invalid_argument);
-}
-
-TEST(ParallelForEachShard, RunsEveryJobExactlyOnce) {
-  std::vector<int> hits(64, 0);
-  parallel_for_each_shard(hits.size(), 4,
-                          [&](std::size_t i) { ++hits[i]; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForEachShard, PropagatesTheLowestIndexedError) {
-  try {
-    parallel_for_each_shard(8, 4, [](std::size_t i) {
-      if (i >= 2) throw std::runtime_error("shard " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 2");
-  }
 }
 
 }  // namespace

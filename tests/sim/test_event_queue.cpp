@@ -1,4 +1,4 @@
-// Property tests for the slab calendar event queue against a naive
+// Property tests for the slab-backed heap event queue against a naive
 // sorted-vector oracle, plus the time-horizon saturation contract.
 #include "sim/event_queue.hpp"
 
@@ -17,9 +17,8 @@ namespace flexsfp::sim {
 namespace {
 
 /// The reference semantics: a stable-sorted list of (time, insertion-order)
-/// entries. Everything the calendar structure does — ring rotation,
-/// overflow spill/migration, bucket widening — must be invisible next to
-/// this.
+/// entries. Whatever order the heap keeps its refs in internally must be
+/// invisible next to this.
 class OracleQueue {
  public:
   void push(TimePs at, int tag) { entries_.push_back({at, next_seq_++, tag}); }
@@ -51,15 +50,15 @@ class OracleQueue {
 
 TEST(EventQueueProperty, RandomSchedulesMatchOracle) {
   // Several seeds, each a random interleaving of pushes and pops with time
-  // offsets spanning sub-bucket to far-beyond-the-ring-window, so the
-  // current heap, the ring, the overflow list and its migration all engage.
+  // offsets spanning exact ties to seconds out, so near and far events,
+  // ties and deep heaps all mix.
   constexpr std::array<TimePs, 6> spans = {
-      1,            // same-bucket ties
-      10'000,       // within one 16.4 ns bucket
-      1'000'000,    // a few buckets out
-      100'000'000,  // well within the 256-bucket ring
-      10'000'000'000,     // beyond the ring -> overflow list
-      5'000'000'000'000,  // deep horizon -> widening territory
+      1,            // same-timestamp ties
+      10'000,       // within one 64 B frame time
+      1'000'000,    // a microsecond out
+      100'000'000,  // a tenth of a millisecond out
+      10'000'000'000,     // ten milliseconds out
+      5'000'000'000'000,  // seconds out
   };
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     EventQueue queue;
@@ -117,18 +116,16 @@ TEST(EventQueueProperty, SameTimestampPopsInInsertionOrder) {
 }
 
 TEST(EventQueueProperty, FarFutureEventSurvivesBusyForeground) {
-  // Regression for the overflow-migration invariant: an event parked on the
-  // overflow list must execute in order even while a continuously
-  // rescheduling foreground stream keeps the ring window advancing past it
-  // one bucket at a time (the fault-injector flap-end timer pattern).
+  // A far-future event must execute at its own timestamp even while a
+  // continuously rescheduling foreground stream keeps the queue busy with
+  // near events the whole way up to it and past it (the fault-injector
+  // flap-end timer pattern).
   EventQueue queue;
   std::vector<int> order;
-  const TimePs far = 200'000'000;  // ~12k buckets out: overflow for sure
+  const TimePs far = 200'000'000;  // 2000 stream periods out
   queue.push(far, [&order]() { order.push_back(-1); });
-  EXPECT_EQ(queue.stats().overflow_spills, 1u);
 
-  // A self-rescheduling stream with a period much smaller than a bucket
-  // span keeps ring_count_ nonzero as the window slides over `far`.
+  // A self-rescheduling stream whose period is far shorter than `far`.
   struct Stream {
     EventQueue& queue;
     std::vector<int>& order;
@@ -160,28 +157,6 @@ TEST(EventQueueProperty, FarFutureEventSurvivesBusyForeground) {
   const auto index = static_cast<std::size_t>(it - order.begin());
   EXPECT_EQ(pop_times[index], far);
   EXPECT_GT(order.size(), index + 10) << "far event ran last, not in order";
-}
-
-TEST(EventQueueProperty, SparseHorizonWidensBuckets) {
-  EventQueue queue;
-  const TimePs initial_width = queue.bucket_width();
-  int fired = 0;
-  // A handful of events spread across seconds: after draining the near
-  // window the redistribution should widen buckets rather than scan
-  // millions of empty slots.
-  for (int i = 0; i < 8; ++i) {
-    queue.push(TimePs{1} << (30 + 2 * i), [&fired]() { ++fired; });
-  }
-  TimePs last = 0;
-  while (!queue.empty()) {
-    auto popped = queue.pop();
-    ASSERT_GE(popped.at(), last);
-    last = popped.at();
-    popped.invoke();
-  }
-  EXPECT_EQ(fired, 8);
-  EXPECT_GT(queue.bucket_width(), initial_width);
-  EXPECT_GT(queue.stats().window_rebuilds, 0u);
 }
 
 TEST(EventQueueProperty, OversizeClosureTakesBoxedPathAndStillRuns) {
@@ -257,8 +232,8 @@ TEST(SimulationClamp, RunUntilBoundaryIsInclusive) {
 
 TEST(SimulationClamp, ScheduleInSaturatesAtHorizonInsteadOfWrapping) {
   // Regression: near the TimePs horizon, now + delay used to wrap negative
-  // and the "practically forever" timer fired immediately (or crashed the
-  // calendar index math). It must clamp to time_horizon and stay last.
+  // and the "practically forever" timer fired immediately (or broke the
+  // queue's ordering). It must clamp to time_horizon and stay last.
   EXPECT_EQ(saturating_add(time_horizon, 1), time_horizon);
   EXPECT_EQ(saturating_add(time_horizon - 5, 10), time_horizon);
   EXPECT_EQ(saturating_add(1, time_horizon), time_horizon);
