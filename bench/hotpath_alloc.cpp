@@ -3,7 +3,10 @@
 // allocator and reports events/sec plus allocations/packet. The packet pool
 // and the slab event queue exist to push the steady-state figure toward
 // zero; this bench is the evidence, and tools/bench_gate.py fails CI when
-// either figure regresses against bench/baselines/.
+// either figure regresses against bench/baselines/. A second row runs the
+// windowed fabric engine (FabricParallelTestbed::run(1): four modules, a
+// crossbar, faulted uplinks) and reports allocations per packet across its
+// cross-world exchange as allocs_per_packet_fabric.
 #include <execinfo.h>
 
 #include <atomic>
@@ -14,6 +17,7 @@
 
 #include "apps/nat.hpp"
 #include "bench_util.hpp"
+#include "fabric/fabric_testbed.hpp"
 #include "fabric/testbed.hpp"
 
 // ---------------------------------------------------------------------------
@@ -163,6 +167,44 @@ int main(int argc, char** argv) {
     wall_seconds += frame_seconds;
     figures.emplace_back("allocs_per_packet_" + std::to_string(frame),
                          allocs_per_packet);
+  }
+
+  // The fabric ring, shaped like perfbench's fabric_ring_w1: 4 modules on
+  // one worker, Poisson 64 B at 8 Gb/s, 2% drop + 1% duplicate per uplink,
+  // 500 ns lookahead, 1 ms. run() builds its worlds, so world setup is in
+  // the count too — amortized over ~45 k packets.
+  {
+    fabric::Topology topo;
+    topo.modules = 4;
+    topo.link_delay_ps = 500'000;
+    topo.traffic_prototype.rate = DataRate::gbps(8);
+    topo.traffic_prototype.arrivals = fabric::ArrivalProcess::poisson;
+    topo.traffic_prototype.duration = 1_ms;
+    sim::FaultSpec faults;
+    faults.drop_prob = 0.02;
+    faults.duplicate_prob = 0.01;
+    topo.link_faults = faults;
+    fabric::FabricParallelTestbed bed(topo);
+
+    const std::uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    g_tracing.store(true, std::memory_order_relaxed);
+    const auto result = bed.run(1);
+    g_tracing.store(false, std::memory_order_relaxed);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - allocs_before;
+    std::uint64_t packets = 0;
+    for (const auto& m : result.modules) packets += m.sent_packets;
+    const double allocs_per_packet =
+        packets > 0 ? double(allocs) / double(packets) : 0;
+    std::printf("%-10s %12llu %14llu %14.3f %12.3g\n", "fabric",
+                static_cast<unsigned long long>(packets),
+                static_cast<unsigned long long>(result.events),
+                allocs_per_packet,
+                result.wall_seconds > 0
+                    ? double(result.events) / result.wall_seconds
+                    : 0.0);
+    figures.emplace_back("allocs_per_packet_fabric", allocs_per_packet);
   }
   bench::rule(70);
 

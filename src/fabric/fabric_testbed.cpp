@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +15,7 @@ namespace detail {
 
 ModuleRig::ModuleRig(sim::Simulation& sim, const Topology& topo,
                      std::size_t module_index, ppe::PpeAppPtr app,
-                     std::function<void(net::PacketPtr)> to_fabric)
+                     sim::Link::DepartFn to_fabric)
     : index(module_index) {
   sfp::FlexSfpConfig module_config = topo.module_prototype;
   module_config.boot_at_start = false;
@@ -28,10 +29,8 @@ ModuleRig::ModuleRig(sim::Simulation& sim, const Topology& topo,
 
   // Uplink toward the fabric: serialization only — the engine adds the
   // propagation delay when it moves the packet to the crossbar.
-  uplink_capture = std::make_unique<sim::LambdaHandler>(std::move(to_fabric));
   uplink = std::make_unique<sim::Link>(sim, topo.link_rate,
-                                       /*propagation_delay=*/0,
-                                       *uplink_capture, "fabric_uplink");
+                                       std::move(to_fabric), "fabric_uplink");
   if (topo.link_faults) {
     link_faults = std::make_unique<sim::FaultInjector>(
         sim, topo.link_fault_for(index), *uplink, "fault.fabric_link");
@@ -111,8 +110,9 @@ FabricTestbed::FabricTestbed(Topology topology, AppFactory app_factory)
   rigs_.reserve(topo_.modules);
   for (std::size_t i = 0; i < topo_.modules; ++i) {
     rigs_.push_back(std::make_unique<detail::ModuleRig>(
-        sim_, topo_, i, factory(), [this, i](net::PacketPtr p) {
-          sim_.schedule_in(topo_.link_delay_ps,
+        sim_, topo_, i, factory(),
+        [this, i](sim::TimePs depart, net::PacketPtr p) {
+          sim_.schedule_at(sim::saturating_add(depart, topo_.link_delay_ps),
                            [this, i, p = std::move(p)]() mutable {
                              xbar_->ingress(i, std::move(p));
                            });
@@ -158,22 +158,90 @@ FabricRunResult FabricTestbed::run() {
 
 namespace {
 
-/// One packet crossing worlds: captured on the source world's thread as a
-/// value frame, applied at the barrier. `arrival` already includes the link
-/// propagation delay, which is what makes it ≥ every future window start.
-struct Boundary {
-  sim::TimePs arrival = 0;
-  std::size_t dest_world = 0;
-  int port = 0;  // module port, or crossbar input index
-  net::Packet frame;
+/// One packet crossing worlds: its metadata, and where its bytes sit in the
+/// outbox arena. `depart` is when the source finished serializing it; it
+/// arrives one lookahead later.
+struct Crossing {
+  sim::TimePs depart = 0;
+  net::PacketId id = 0;
+  std::int64_t ingress_time_ps = 0;
+  std::int64_t created_time_ps = 0;
+  std::uint64_t user_metadata = 0;
+  std::size_t offset = 0;
+  std::uint32_t size = 0;
+  int ingress_port = 0;
+};
+
+/// The crossings of one (source world, destination world) edge in capture
+/// order, which is departure order: every edge is fed by one FIFO
+/// transmitter (a module uplink or a crossbar output). Only the source
+/// world's thread captures; the barrier drains. Records and arena keep their
+/// capacity across rounds, so steady-state capture does not allocate.
+/// Capture closures hold its address, so it is neither copied nor moved.
+struct Outbox {
+  Outbox() = default;
+  Outbox(const Outbox&) = delete;
+  Outbox& operator=(const Outbox&) = delete;
+
+  int port = 0;  // crossbar input, or the module's optical port
+  std::vector<Crossing> records;
+  net::Bytes arena;
+  std::size_t head = 0;  // first record not yet delivered
+
+  void capture(sim::TimePs depart, const net::Packet& packet) {
+    records.push_back({depart, packet.id(), packet.ingress_time_ps(),
+                       packet.created_time_ps(), packet.user_metadata(),
+                       arena.size(), static_cast<std::uint32_t>(packet.size()),
+                       packet.ingress_port()});
+    arena.insert(arena.end(), packet.data().begin(), packet.data().end());
+  }
+
+  /// The head crossing as a packet from the destination's pool.
+  [[nodiscard]] net::PacketPtr materialize(net::PacketPool& pool) const {
+    const Crossing& c = records[head];
+    net::PacketPtr packet = pool.make();
+    const auto bytes = arena.begin() + static_cast<std::ptrdiff_t>(c.offset);
+    packet->data().assign(bytes, bytes + c.size);
+    packet->set_id(c.id);
+    packet->set_ingress_time_ps(c.ingress_time_ps);
+    packet->set_created_time_ps(c.created_time_ps);
+    packet->set_ingress_port(c.ingress_port);
+    packet->set_user_metadata(c.user_metadata);
+    return packet;
+  }
+
+  /// Earliest departure still waiting, or time_horizon.
+  [[nodiscard]] sim::TimePs pending_depart() const {
+    return head < records.size() ? records[head].depart : sim::time_horizon;
+  }
+
+  /// Forget delivered crossings; the undelivered tail moves to the front.
+  void compact() {
+    if (head == records.size()) {
+      records.clear();
+      arena.clear();
+    } else if (head > 0) {
+      const std::size_t base = records[head].offset;
+      arena.erase(arena.begin(),
+                  arena.begin() + static_cast<std::ptrdiff_t>(base));
+      records.erase(records.begin(),
+                    records.begin() + static_cast<std::ptrdiff_t>(head));
+      for (Crossing& c : records) c.offset -= base;
+    }
+    head = 0;
+  }
 };
 
 struct World {
   sim::Simulation sim;
-  std::vector<Boundary> outbox;  // only this world's thread appends
   std::unique_ptr<detail::ModuleRig> rig;  // module worlds
   std::unique_ptr<Crossbar> xbar;          // the crossbar world
+  std::vector<Outbox*> inbound;            // in source-world order
 };
+
+/// A merge cursor: (next arrival, rank of the inbound edge it comes from).
+/// Pairs compare lexicographically, which is exactly the tie-break order.
+using Head = std::pair<sim::TimePs, std::size_t>;
 
 }  // namespace
 
@@ -186,7 +254,6 @@ FabricParallelTestbed::FabricParallelTestbed(Topology topology,
 
 FabricRunResult FabricParallelTestbed::run(unsigned workers) {
   const std::size_t modules = topo_.modules;
-  const std::size_t xbar_world = modules;
   const sim::TimePs delay = topo_.link_delay_ps;
 
   std::vector<std::unique_ptr<World>> worlds;
@@ -195,32 +262,35 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     worlds.push_back(std::make_unique<World>());
     worlds.back()->sim.flight().configure(topo_.flight);
   }
+  // Edge i carries module i's uplink to crossbar input i; edge modules + j
+  // carries crossbar output j down to module j.
+  std::vector<Outbox> edges(2 * modules);
+  World& xw = *worlds[modules];  // the crossbar world
 
   for (std::size_t i = 0; i < modules; ++i) {
     World& world = *worlds[i];
+    Outbox& up = edges[i];
+    up.port = static_cast<int>(i);
+    xw.inbound.push_back(&up);
     world.rig = std::make_unique<detail::ModuleRig>(
         world.sim, topo_, i, app_factory_(),
-        [&world, xbar_world, i, delay](net::PacketPtr p) {
-          world.outbox.push_back(
-              Boundary{sim::saturating_add(world.sim.now(), delay), xbar_world,
-                       static_cast<int>(i), net::detach_frame(*p)});
-        });
+        [&up](sim::TimePs depart, net::PacketPtr p) { up.capture(depart, *p); });
   }
   {
-    World& world = *worlds[xbar_world];
     CrossbarConfig xbar_config;
     xbar_config.ports = modules;
     xbar_config.crosspoint_capacity = topo_.crosspoint_capacity;
     xbar_config.port_rate = topo_.link_rate;
-    world.xbar = std::make_unique<Crossbar>(
-        world.sim, xbar_config,
+    xw.xbar = std::make_unique<Crossbar>(
+        xw.sim, xbar_config,
         [this](const net::Packet& packet) { return topo_.route(packet); });
     for (std::size_t j = 0; j < modules; ++j) {
-      world.xbar->set_output_handler(j, [&world, j, delay](net::PacketPtr p) {
+      Outbox& down = edges[modules + j];
+      down.port = sfp::FlexSfpModule::optical_port;
+      worlds[j]->inbound.push_back(&down);
+      xw.xbar->set_output_handler(j, [&xw, &down](net::PacketPtr p) {
         sfp::set_egress_hint(*p, sfp::FlexSfpModule::edge_port);
-        world.outbox.push_back(
-            Boundary{sim::saturating_add(world.sim.now(), delay), j,
-                     sfp::FlexSfpModule::optical_port, net::detach_frame(*p)});
+        down.capture(xw.sim.now(), *p);
       });
     }
   }
@@ -230,13 +300,75 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
   // The conservative window bound: every world may run strictly past the
   // globally earliest pending event plus the link lookahead, because no
   // packet captured before the bound can arrive anywhere earlier than it.
-  const auto compute_horizon = [&worlds, delay]() -> sim::TimePs {
+  // A captured crossing that has not yet departed counts as its source's
+  // pending event: it stands for the uplink transmission still under way.
+  const auto compute_horizon = [&worlds, &edges, delay]() -> sim::TimePs {
     sim::TimePs min_next = sim::time_horizon;
     for (auto& world : worlds) {
       min_next = std::min(min_next, world->sim.next_event_time());
     }
+    for (const Outbox& edge : edges) {
+      min_next = std::min(min_next, edge.pending_depart());
+    }
     if (min_next == sim::time_horizon) return sim::time_horizon;
     return sim::saturating_add(min_next, delay);
+  };
+
+  // Deliver into `dw` every inbound crossing that departed before the
+  // window bound, as a k-way merge of the per-edge runs on (arrival, source
+  // world, capture order). A crossing departing later stays in its outbox
+  // until the window that contains its departure has run, so each one is
+  // delivered at the same barrier whatever the capture time.
+  std::vector<Head> heads;
+  heads.reserve(modules);
+  constexpr std::greater<Head> later;
+  const auto deliver = [&heads, later, delay](World& dw, sim::TimePs horizon) {
+    heads.clear();
+    for (std::size_t rank = 0; rank < dw.inbound.size(); ++rank) {
+      const sim::TimePs depart = dw.inbound[rank]->pending_depart();
+      if (depart < horizon) {
+        heads.emplace_back(sim::saturating_add(depart, delay), rank);
+      }
+    }
+    std::make_heap(heads.begin(), heads.end(), later);
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), later);
+      const auto [arrival, rank] = heads.back();
+      heads.pop_back();
+      if (arrival < dw.sim.now()) {
+        throw std::logic_error(
+            "conservative-sync violation: boundary packet arrives before the "
+            "window start");
+      }
+      Outbox& box = *dw.inbound[rank];
+      // Workers are parked at the barrier, so touching the destination
+      // pool here is single-threaded.
+      net::PacketPtr packet = box.materialize(dw.sim.packet_pool());
+      const sim::TimePs depart = box.records[box.head++].depart;
+      if (dw.xbar) {
+        dw.sim.schedule_at(arrival,
+                           [xbar = dw.xbar.get(), in = box.port,
+                            packet = std::move(packet)]() mutable {
+                             xbar->ingress(static_cast<std::size_t>(in),
+                                           std::move(packet));
+                           });
+      } else {
+        dw.sim.schedule_at(arrival,
+                           [module = dw.rig->module.get(), port = box.port,
+                            packet = std::move(packet)]() mutable {
+                             module->inject(port, std::move(packet));
+                           });
+      }
+      const sim::TimePs following = box.pending_depart();
+      if (following < horizon) {
+        if (following < depart) {
+          throw std::logic_error(
+              "conservative-sync violation: outbox departures out of order");
+        }
+        heads.emplace_back(sim::saturating_add(following, delay), rank);
+        std::push_heap(heads.begin(), heads.end(), later);
+      }
+    }
   };
 
   const auto start = std::chrono::steady_clock::now();
@@ -250,53 +382,8 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
         },
         [&]() -> bool {
           ++rounds;
-          // Apply boundary batches in (arrival, source world, capture order):
-          // outboxes are appended in capture order and drained in world
-          // order, so a stable sort on arrival realizes exactly that key —
-          // the tie-break that keeps every worker count bit-identical.
-          for (std::size_t dest = 0; dest < worlds.size(); ++dest) {
-            std::vector<Boundary> inbound;
-            for (auto& src : worlds) {
-              for (auto& boundary : src->outbox) {
-                if (boundary.dest_world == dest) {
-                  inbound.push_back(std::move(boundary));
-                }
-              }
-            }
-            std::stable_sort(inbound.begin(), inbound.end(),
-                             [](const Boundary& a, const Boundary& b) {
-                               return a.arrival < b.arrival;
-                             });
-            World& dw = *worlds[dest];
-            for (Boundary& boundary : inbound) {
-              if (boundary.arrival < dw.sim.now()) {
-                throw std::logic_error(
-                    "conservative-sync violation: boundary packet arrives "
-                    "before the window start");
-              }
-              // Workers are parked at the barrier, so touching the
-              // destination pool here is single-threaded.
-              net::PacketPtr packet =
-                  dw.sim.packet_pool().make_from(std::move(boundary.frame));
-              if (dest == xbar_world) {
-                dw.sim.schedule_at(
-                    boundary.arrival,
-                    [xbar = dw.xbar.get(), in = boundary.port,
-                     packet = std::move(packet)]() mutable {
-                      xbar->ingress(static_cast<std::size_t>(in),
-                                    std::move(packet));
-                    });
-              } else {
-                dw.sim.schedule_at(
-                    boundary.arrival,
-                    [module = dw.rig->module.get(), port = boundary.port,
-                     packet = std::move(packet)]() mutable {
-                      module->inject(port, std::move(packet));
-                    });
-              }
-            }
-          }
-          for (auto& world : worlds) world->outbox.clear();
+          for (auto& world : worlds) deliver(*world, horizon);
+          for (Outbox& edge : edges) edge.compact();
           horizon = compute_horizon();
           return horizon != sim::time_horizon;
         });
@@ -312,7 +399,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     out.modules.push_back(module_result(*worlds[i]->rig, out.duration));
     out.events += worlds[i]->sim.executed_events();
   }
-  out.events += worlds[xbar_world]->sim.executed_events();
+  out.events += xw.sim.executed_events();
   // Merge per-world snapshots in world order with a disambiguating label —
   // the same discipline (and the same resulting object for workers = 1) as
   // every other worker count, which is the property the tests assert.
@@ -320,8 +407,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     out.metrics.merge(worlds[i]->sim.metrics().snapshot().with_label(
         "shard", std::to_string(i)));
   }
-  out.metrics.merge(
-      worlds[xbar_world]->sim.metrics().snapshot().with_label("shard", "xbar"));
+  out.metrics.merge(xw.sim.metrics().snapshot().with_label("shard", "xbar"));
   out.ledger = FabricLedger::from_snapshot(out.metrics);
   out.rounds = rounds;
   out.workers_used = sim::resolve_threads(worlds.size(), workers);

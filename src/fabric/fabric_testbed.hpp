@@ -11,12 +11,13 @@
 //     propagation delay is the lookahead, so every world can safely run to
 //     (min next event across worlds) + delay, and the packets captured at
 //     its uplink during the window are exchanged at the barrier with
-//     timestamps that are provably ≥ the new window start. Cross-world
-//     handoff detaches a value frame on the source world's thread and
-//     re-pools it on the destination (see net::detach_frame); batches are
-//     applied in (arrival, source world, capture seq) order, so results are
-//     bit-identical for any worker count. DESIGN.md §11 has the proof
-//     sketch.
+//     timestamps that are provably ≥ the new window start. Each
+//     world-to-world edge (a module uplink, a crossbar output) has an
+//     outbox: metadata records plus a byte arena it reuses, so a crossing
+//     is one copy in and one copy out of recycled buffers. The barrier
+//     merges the per-edge runs in (arrival, source world, capture order),
+//     so results are bit-identical for any worker count. DESIGN.md §11 has
+//     the proof sketch.
 //
 // Either way the run ends with a loss ledger: every packet the generators
 // (plus fault duplication) injected is delivered or sits in a named drop
@@ -37,20 +38,20 @@ namespace detail {
 
 /// One module with its edge-side endpoints and its uplink toward the
 /// fabric, buildable inside any Simulation (the engines differ only in what
-/// `to_fabric` does with a packet that finished the uplink). The packet
-/// chain: edge gen → module (edge port) → PPE → optical egress →
-/// [link fault injector] → uplink serialization at link rate → to_fabric.
-/// Propagation delay is NOT applied here — the engine owns it, because for
-/// the parallel engine it is exactly the piece that crosses worlds.
+/// `to_fabric` does with a packet the uplink accepted). The packet chain:
+/// edge gen → module (edge port) → PPE → optical egress → [link fault
+/// injector] → uplink serialization at link rate → to_fabric, called at
+/// send time with the serialization end. Propagation delay is NOT applied
+/// here — the engine owns it, because for the parallel engine it is exactly
+/// the piece that crosses worlds.
 struct ModuleRig {
   ModuleRig(sim::Simulation& sim, const Topology& topo, std::size_t index,
-            ppe::PpeAppPtr app, std::function<void(net::PacketPtr)> to_fabric);
+            ppe::PpeAppPtr app, sim::Link::DepartFn to_fabric);
 
   std::size_t index = 0;
   std::unique_ptr<sfp::FlexSfpModule> module;
   std::unique_ptr<Sink> edge_sink;
   std::unique_ptr<sim::LambdaHandler> edge_in;
-  std::unique_ptr<sim::LambdaHandler> uplink_capture;
   std::unique_ptr<sim::Link> uplink;
   std::unique_ptr<sim::FaultInjector> link_faults;  // null when unfaulted
   std::unique_ptr<TrafficGen> gen;

@@ -6,8 +6,10 @@
 // reference returns the buffer — payload capacity included — to its pool's
 // free list instead of the heap. The refcount is deliberately non-atomic:
 // a packet belongs to exactly one shard (one Simulation, one thread) at a
-// time, and the only cross-thread handoff in the codebase is the parallel
-// testbed's join barrier, which synchronizes. See DESIGN.md §9.
+// time. The fabric engine carries cross-world traffic as copied bytes in
+// its outboxes and re-pools them on the destination, and sharded results
+// are read on the caller thread only while the workers are parked at the
+// lockstep barrier, which synchronizes. See DESIGN.md §9 and §11.
 #pragma once
 
 #include <cstdint>
@@ -187,16 +189,5 @@ class PacketPtr {
 /// sim.packet_pool().make() so the allocation is accounted per shard.
 [[nodiscard]] PacketPtr make_packet(Bytes data = {});
 [[nodiscard]] PacketPtr make_packet(Packet frame);
-
-/// Detach a self-contained value copy of a pooled packet's frame (wire
-/// bytes + simulation metadata, no intrusive bookkeeping) for cross-shard
-/// handoff. The copy is taken on the thread that owns the source pool,
-/// carried across the window barrier as a plain value, and re-pooled on the
-/// destination shard with its pool's make_from() — raw PacketPtrs must
-/// never cross shards, because the refcount is non-atomic and the free list
-/// is single-threaded.
-[[nodiscard]] inline Packet detach_frame(const Packet& packet) {
-  return packet;
-}
 
 }  // namespace flexsfp::net

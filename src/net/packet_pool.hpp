@@ -14,8 +14,9 @@
 // frames after the shard's Simulation is gone). The pool therefore keeps
 // its state in a heap-allocated core; destroying the pool drains the free
 // list and orphans the core, and the last outstanding packet release frees
-// it. Everything is single-threaded by the shard ownership contract — the
-// only cross-thread handoff is the parallel testbed's join barrier.
+// it. Everything is single-threaded by the shard ownership contract:
+// packets never move between shards, and the fabric engine's outboxes carry
+// copied bytes that the destination world re-pools at the lockstep barrier.
 #pragma once
 
 #include <cstddef>

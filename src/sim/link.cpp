@@ -6,10 +6,19 @@ namespace flexsfp::sim {
 
 Link::Link(Simulation& sim, DataRate rate, TimePs propagation_delay,
            PacketHandler& destination, std::string name)
+    : Link(sim, rate, propagation_delay, &destination, nullptr,
+           std::move(name)) {}
+
+Link::Link(Simulation& sim, DataRate rate, DepartFn on_depart, std::string name)
+    : Link(sim, rate, 0, nullptr, std::move(on_depart), std::move(name)) {}
+
+Link::Link(Simulation& sim, DataRate rate, TimePs propagation_delay,
+           PacketHandler* destination, DepartFn on_depart, std::string name)
     : sim_(sim),
       rate_(rate),
       propagation_delay_(propagation_delay),
       destination_(destination),
+      on_depart_(std::move(on_depart)),
       name_(sim.metrics().unique_name(std::move(name))) {
   meter_.bind(sim_.metrics(), "link.traffic", {{"link", name_}});
   wire_meter_.bind(sim_.metrics(), "link.wire", {{"link", name_}});
@@ -24,7 +33,7 @@ void Link::handle_packet(net::PacketPtr packet) {
   // line, so utilization() and delivered-rate figures never mix units.
   const std::size_t wire_bytes = packet->wire_size();
   const TimePs ser = ser_(wire_bytes);
-  next_free_ = start + ser;
+  next_free_ = saturating_add(start, ser);
   sim_.metrics().add(busy_id_, std::uint64_t(ser));
   meter_.record(packet->size());
   wire_meter_.record(wire_bytes);
@@ -32,11 +41,15 @@ void Link::handle_packet(net::PacketPtr packet) {
     sim_.flight().record(packet->id(), flight_stage_, obs::HopKind::transit,
                          start, 0, std::uint64_t(ser));
   }
-  const TimePs arrival = next_free_ + propagation_delay_;
+  if (on_depart_) {
+    on_depart_(next_free_, std::move(packet));
+    return;
+  }
+  const TimePs arrival = saturating_add(next_free_, propagation_delay_);
   sim_.schedule_at(arrival, [this, token = lifetime_.token(),
                              packet = std::move(packet)]() mutable {
     if (!token.alive()) return;  // link torn down while the packet flew
-    destination_.handle_packet(std::move(packet));
+    destination_->handle_packet(std::move(packet));
   });
 }
 

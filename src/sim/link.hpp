@@ -1,6 +1,7 @@
 // Point-to-point link and queued-server building blocks.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,17 @@ namespace flexsfp::sim {
 /// loss behaviour put a BoundedQueue in front).
 class Link final : public PacketHandler {
  public:
+  /// Called at send time with the instant the packet's last bit leaves the
+  /// transmitter, instead of scheduling a delivery event. For owners that
+  /// carry the packet the rest of the way themselves (the fabric engines
+  /// add the cable delay and hand it to the crossbar).
+  using DepartFn = std::function<void(TimePs departure, net::PacketPtr)>;
+
   Link(Simulation& sim, DataRate rate, TimePs propagation_delay,
        PacketHandler& destination, std::string name = "link");
+  /// Serialization only: every accepted packet goes to `on_depart`.
+  Link(Simulation& sim, DataRate rate, DepartFn on_depart,
+       std::string name = "link");
 
   void handle_packet(net::PacketPtr packet) override;
 
@@ -41,11 +51,15 @@ class Link final : public PacketHandler {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
+  Link(Simulation& sim, DataRate rate, TimePs propagation_delay,
+       PacketHandler* destination, DepartFn on_depart, std::string name);
+
   Simulation& sim_;
   DataRate rate_;
   SerializationTimer ser_{rate_};
   TimePs propagation_delay_;
-  PacketHandler& destination_;
+  PacketHandler* destination_ = nullptr;  // null when on_depart_ is set
+  DepartFn on_depart_;
   std::string name_;
   TimePs next_free_ = 0;
   TrafficMeter meter_;

@@ -130,6 +130,71 @@ TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
   }
 }
 
+/// FNV-1a over every series except the host-side sim.queue.* / pool.*
+/// tallies (which count events and buffers, not modeled behaviour).
+std::uint64_t modeled_fingerprint(const obs::MetricSnapshot& snapshot) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t byte) {
+    h = (h ^ byte) * 0x100000001b3ULL;
+  };
+  for (const auto& sample : snapshot.samples()) {
+    if (sample.name.starts_with("sim.queue.") ||
+        sample.name.starts_with("pool.")) {
+      continue;
+    }
+    for (const char c : sample.key()) mix(static_cast<unsigned char>(c));
+    for (int shift = 0; shift < 64; shift += 8) {
+      mix((sample.value >> shift) & 0xff);
+    }
+  }
+  return h;
+}
+
+TEST(FabricParallel, TieHeavyIncastKeepsTheExchangeOrder) {
+  // CBR 64 B from every module into module 0, all generators starting
+  // together at half line rate: boundary packets from different source
+  // worlds reach the crossbar in the same picosecond, and the output's
+  // serialization ends land on those picoseconds too. Only the exchange
+  // order (arrival, source world, capture order) decides which crosspoint
+  // wins or drops, so any reordering shows up in the figures below.
+  Topology topo;
+  topo.modules = 4;
+  topo.base_seed = 11;
+  topo.targets.assign(4, 0);
+  topo.crosspoint_capacity = 8;
+  topo.traffic_prototype.arrivals = ArrivalProcess::cbr;
+  topo.traffic_prototype.fixed_size = 64;
+  topo.traffic_prototype.rate = DataRate::gbps(5);
+  topo.traffic_prototype.duration = 30_us;
+  FabricParallelTestbed bed(topo);
+  const auto oracle = bed.run(1);
+  for (const unsigned workers : {2u, 4u}) {
+    EXPECT_EQ(bed.run(workers).metrics, oracle.metrics)
+        << "workers=" << workers;
+  }
+
+  // Recorded from the engine that stable-sorted each round's boundary
+  // frames by arrival (the (arrival, source world, capture order) key).
+  EXPECT_EQ(oracle.ledger.sent, 856u);
+  EXPECT_EQ(oracle.ledger.delivered, 459u);
+  EXPECT_EQ(oracle.ledger.crosspoint_drops, 397u);
+  EXPECT_TRUE(oracle.ledger.balanced());
+  EXPECT_EQ(oracle.rounds, 68u);
+  const std::uint64_t drops_per_input[] = {99, 99, 99, 100};
+  for (std::size_t in = 0; in < 4; ++in) {
+    EXPECT_EQ(oracle.metrics.value("fabric.xbar.crosspoint_drops{in=" +
+                                   std::to_string(in) +
+                                   ",out=0,shard=xbar,xbar=xbar}"),
+              drops_per_input[in])
+        << "in=" << in;
+  }
+  EXPECT_EQ(oracle.modules[0].received_packets, 459u);
+  EXPECT_DOUBLE_EQ(oracle.modules[0].latency_p50_ns, 3838.295);
+  EXPECT_DOUBLE_EQ(oracle.modules[0].latency_p99_ns, 4008.231);
+  EXPECT_DOUBLE_EQ(oracle.modules[0].latency_max_ns, 4036.8);
+  EXPECT_EQ(modeled_fingerprint(oracle.metrics), 0xf1036dc139925af6ULL);
+}
+
 TEST(FabricParallel, SnapshotsCarryWorldLabels) {
   FabricParallelTestbed bed(base_topology(3, 3));
   const auto run = bed.run(2);

@@ -45,6 +45,37 @@ TEST(Link, BackToBackPacketsQueueBehindTransmitter) {
   EXPECT_EQ(sink.arrivals[1].first, 140'800_ps);
 }
 
+TEST(Link, PropagationSaturatesAtTheTimeHorizon) {
+  // A "practically forever" cable: serialization end plus propagation
+  // overflows TimePs, so delivery clamps to the horizon instead of wrapping
+  // into the past.
+  Simulation sim;
+  Collector sink(sim);
+  Link link(sim, line_rate_10g, time_horizon - 1, sink);
+  link.handle_packet(packet_of(64));
+  sim.run();
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_EQ(sink.arrivals[0].first, time_horizon);
+}
+
+TEST(Link, DepartHookReportsSerializationEndWithoutScheduling) {
+  Simulation sim;
+  std::vector<std::pair<TimePs, TimePs>> departures;  // (send, departure)
+  Link link(sim, line_rate_10g, [&](TimePs departure, net::PacketPtr) {
+    departures.emplace_back(sim.now(), departure);
+  });
+  link.handle_packet(packet_of(64));
+  link.handle_packet(packet_of(64));
+  // The hook runs at send time; the transmitter still queues back to back.
+  EXPECT_TRUE(sim.empty());
+  ASSERT_EQ(departures.size(), 2u);
+  EXPECT_EQ(departures[0].first, 0);
+  EXPECT_EQ(departures[0].second, 70'400_ps);
+  EXPECT_EQ(departures[1].first, 0);
+  EXPECT_EQ(departures[1].second, 140'800_ps);
+  EXPECT_EQ(link.busy_time(), 140'800_ps);
+}
+
 TEST(Link, UtilizationAccountsBusyTime) {
   Simulation sim;
   Collector sink(sim);
