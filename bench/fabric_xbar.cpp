@@ -1,7 +1,7 @@
 // Crosspoint-queued crossbar fabric under the two canonical stress mixes:
 // incast (every module blasts one victim output) and elephant/mouse (jumbo
-// bulk flows vs minimum-size request traffic), plus the windowed parallel
-// engine's determinism self-check across worker counts.
+// bulk flows vs minimum-size request traffic), each on the fabric engine's
+// run(1) oracle, plus its determinism self-check across worker counts.
 //
 // Usage: fabric_xbar [modules] [duration_us]
 #include <algorithm>
@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
     topo.targets.assign(modules, 0);
     topo.traffic_prototype.rate = DataRate::gbps(6);
     topo.crosspoint_capacity = 16;
-    fabric::FabricTestbed bed(topo);
-    const auto run = bed.run();
+    const auto run = fabric::FabricParallelTestbed(topo).run(1);
     const double victim_gbps = run.modules[0].delivered_gbps;
     std::printf("%-22s %10s %14s %16s %10s\n", "scenario", "offered",
                 "delivered", "crosspoint drops", "balanced");
@@ -93,8 +92,7 @@ int main(int argc, char** argv) {
     topo.traffic_prototype.arrivals = fabric::ArrivalProcess::cbr;
     topo.traffic_prototype.fixed_size = elephant ? 1500 : 64;
     topo.traffic_prototype.rate = DataRate::gbps(elephant ? 8 : 2);
-    fabric::FabricTestbed bed(topo);
-    const auto run = bed.run();
+    const auto run = fabric::FabricParallelTestbed(topo).run(1);
     const double delivered = sum_delivered_gbps(run);
     std::printf("%-22s %7.2f Gb %11.2f Gb %16llu %10s\n",
                 elephant ? "elephant ring (1500B)" : "mouse ring (64B)",
@@ -138,12 +136,12 @@ int main(int argc, char** argv) {
   }
   figures.emplace_back("determinism_ok", deterministic ? 1.0 : 0.0);
   figures.emplace_back("rounds_fabric", double(oracle.rounds));
-  figures.emplace_back("events_per_sec_fabric",
-                       double(oracle.events) / best_wall);
+  figures.emplace_back("ns_per_pkt_fabric",
+                       best_wall * 1e9 / double(oracle.ledger.sent));
 
   bench::write_bench_json("fabric_xbar", oracle.metrics, figures);
   bench::note("delivered_gbps_* and crosspoint drops are deterministic "
-              "simulation outputs (strict-gated); events_per_sec_fabric is "
+              "simulation outputs (strict-gated); ns_per_pkt_fabric is "
               "host-bound (lenient).");
 
   if (!deterministic) {

@@ -1,6 +1,6 @@
 // Hot-path allocation audit: drives the full module pipeline (TrafficGen ->
 // fault-free link -> PPE running StaticNat -> sink) under a counting global
-// allocator and reports events/sec plus allocations/packet. The packet pool
+// allocator and reports wall ns/packet plus allocations/packet. The packet pool
 // and the slab event queue exist to push the steady-state figure toward
 // zero; this bench is the evidence, and tools/bench_gate.py fails CI when
 // either figure regresses against bench/baselines/. A second row runs the
@@ -103,15 +103,16 @@ int main(int argc, char** argv) {
     g_trace_every = std::strtoull(every, nullptr, 10);
   }
 
-  bench::title("Hot-path audit — events/sec and allocations/packet");
+  bench::title("Hot-path audit — wall ns/packet and allocations/packet");
   std::printf("%-10s %12s %14s %14s %12s\n", "frame", "packets", "events",
-              "allocs/pkt", "events/s");
+              "allocs/pkt", "ns/pkt");
   bench::rule(70);
 
   obs::MetricSnapshot all_frames;
   bench::Figures figures;
   double worst_allocs_per_packet = 0;
   std::uint64_t events_total = 0;
+  std::uint64_t packets_total = 0;
   double wall_seconds = 0;
 
   for (const std::size_t frame : {64, 512, 1518}) {
@@ -155,15 +156,16 @@ int main(int argc, char** argv) {
     }
     const double allocs_per_packet =
         frame_packets > 0 ? double(frame_allocs) / double(frame_packets) : 0;
-    const double events_per_sec =
-        frame_seconds > 0 ? double(frame_events) / frame_seconds : 0;
-    std::printf("%7zu B %12llu %14llu %14.3f %12.3g\n", frame,
+    const double ns_per_pkt =
+        frame_packets > 0 ? frame_seconds * 1e9 / double(frame_packets) : 0;
+    std::printf("%7zu B %12llu %14llu %14.3f %12.1f\n", frame,
                 static_cast<unsigned long long>(frame_packets),
                 static_cast<unsigned long long>(frame_events),
-                allocs_per_packet, events_per_sec);
+                allocs_per_packet, ns_per_pkt);
     worst_allocs_per_packet =
         std::max(worst_allocs_per_packet, allocs_per_packet);
     events_total += frame_events;
+    packets_total += frame_packets;
     wall_seconds += frame_seconds;
     figures.emplace_back("allocs_per_packet_" + std::to_string(frame),
                          allocs_per_packet);
@@ -197,31 +199,30 @@ int main(int argc, char** argv) {
     for (const auto& m : result.modules) packets += m.sent_packets;
     const double allocs_per_packet =
         packets > 0 ? double(allocs) / double(packets) : 0;
-    std::printf("%-10s %12llu %14llu %14.3f %12.3g\n", "fabric",
+    std::printf("%-10s %12llu %14llu %14.3f %12.1f\n", "fabric",
                 static_cast<unsigned long long>(packets),
                 static_cast<unsigned long long>(result.events),
                 allocs_per_packet,
-                result.wall_seconds > 0
-                    ? double(result.events) / result.wall_seconds
-                    : 0.0);
+                packets > 0 ? result.wall_seconds * 1e9 / double(packets)
+                            : 0.0);
     figures.emplace_back("allocs_per_packet_fabric", allocs_per_packet);
   }
   bench::rule(70);
 
-  const double events_per_sec =
-      wall_seconds > 0 ? double(events_total) / wall_seconds : 0;
-  std::printf("total: %llu events in %.3f s = %.3g events/s, worst "
+  const double ns_per_pkt =
+      packets_total > 0 ? wall_seconds * 1e9 / double(packets_total) : 0;
+  std::printf("total: %llu events in %.3f s = %.1f ns/pkt, worst "
               "allocs/pkt %.3f\n",
               static_cast<unsigned long long>(events_total), wall_seconds,
-              events_per_sec, worst_allocs_per_packet);
+              ns_per_pkt, worst_allocs_per_packet);
   figures.emplace_back("events_total", double(events_total));
   figures.emplace_back("wall_seconds", wall_seconds);
-  figures.emplace_back("events_per_sec", events_per_sec);
+  figures.emplace_back("ns_per_pkt", ns_per_pkt);
   figures.emplace_back("allocs_per_packet", worst_allocs_per_packet);
   bench::write_bench_json("hotpath_alloc", all_frames, figures);
   bench::note(
       "allocations/packet is machine-independent and gated strictly by "
-      "tools/bench_gate.py; events/sec is hardware-dependent and gated "
+      "tools/bench_gate.py; ns/packet is hardware-dependent and gated "
       "loosely.");
   return 0;
 }

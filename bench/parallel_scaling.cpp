@@ -77,19 +77,19 @@ int main(int argc, char** argv) {
     if (again.wall_seconds < oracle.wall_seconds) oracle = std::move(again);
   }
 
+  const double packets = double(oracle.combined.sent.packets());
   std::printf("%-10s %12s %10s %14s %12s\n", "workers", "wall (s)", "speedup",
-              "events/s", "identical?");
+              "ns/pkt", "identical?");
   bench::rule(64);
-  std::printf("%-10s %12.3f %10s %14.3g %12s\n", "1 (seq)",
+  std::printf("%-10s %12.3f %10s %14.1f %12s\n", "1 (seq)",
               oracle.wall_seconds, "1.00x",
-              double(oracle.combined.events) / oracle.wall_seconds, "oracle");
+              oracle.wall_seconds * 1e9 / packets, "oracle");
 
   bool all_identical = true;
   bench::Figures figures{
       {"shards", double(shards)},
       {"wall_seconds_seq", oracle.wall_seconds},
-      {"events_per_sec_seq",
-       double(oracle.combined.events) / oracle.wall_seconds}};
+      {"ns_per_pkt_seq", oracle.wall_seconds * 1e9 / packets}};
   for (unsigned workers : {2u, 4u, 8u}) {
     if (workers > shards) break;
     config.workers = workers;
@@ -107,12 +107,11 @@ int main(int argc, char** argv) {
     all_identical = all_identical && same;
     figures.emplace_back("speedup_w" + std::to_string(workers),
                          oracle.wall_seconds / run.wall_seconds);
-    figures.emplace_back("events_per_sec_w" + std::to_string(workers),
-                         double(run.combined.events) / run.wall_seconds);
-    std::printf("%-10u %12.3f %9.2fx %14.3g %12s\n", workers,
+    figures.emplace_back("ns_per_pkt_w" + std::to_string(workers),
+                         run.wall_seconds * 1e9 / packets);
+    std::printf("%-10u %12.3f %9.2fx %14.1f %12s\n", workers,
                 run.wall_seconds, oracle.wall_seconds / run.wall_seconds,
-                double(run.combined.events) / run.wall_seconds,
-                same ? "yes" : "NO");
+                run.wall_seconds * 1e9 / packets, same ? "yes" : "NO");
   }
   bench::rule(64);
 

@@ -3,76 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "apps/nat.hpp"
+#include "fabric/crossbar.hpp"
+#include "sim/link.hpp"
 #include "sim/parallel.hpp"
 
 namespace flexsfp::fabric {
-
-namespace detail {
-
-ModuleRig::ModuleRig(sim::Simulation& sim, const Topology& topo,
-                     std::size_t module_index, ppe::PpeAppPtr app,
-                     sim::Link::DepartFn to_fabric)
-    : index(module_index) {
-  sfp::FlexSfpConfig module_config = topo.module_prototype;
-  module_config.boot_at_start = false;
-  module = std::make_unique<sfp::FlexSfpModule>(sim, std::move(app),
-                                                module_config);
-  edge_sink = std::make_unique<Sink>(sim);
-  module->set_egress_handler(sfp::FlexSfpModule::edge_port,
-                             [this](net::PacketPtr packet) {
-                               edge_sink->handle_packet(std::move(packet));
-                             });
-
-  // Uplink toward the fabric: serialization only — the engine adds the
-  // propagation delay when it moves the packet to the crossbar.
-  uplink = std::make_unique<sim::Link>(sim, topo.link_rate,
-                                       std::move(to_fabric), "fabric_uplink");
-  if (topo.link_faults) {
-    link_faults = std::make_unique<sim::FaultInjector>(
-        sim, topo.link_fault_for(index), *uplink, "fault.fabric_link");
-  }
-  sim::PacketHandler* uplink_entry =
-      link_faults ? static_cast<sim::PacketHandler*>(link_faults.get())
-                  : uplink.get();
-  module->set_egress_handler(sfp::FlexSfpModule::optical_port,
-                             [uplink_entry](net::PacketPtr packet) {
-                               uplink_entry->handle_packet(std::move(packet));
-                             });
-
-  edge_in = std::make_unique<sim::LambdaHandler>([this](net::PacketPtr p) {
-    module->inject(sfp::FlexSfpModule::edge_port, std::move(p));
-  });
-  gen = std::make_unique<TrafficGen>(sim, topo.traffic_for(index), *edge_in);
-}
-
-}  // namespace detail
-
-namespace {
-
-AppFactory default_factory(AppFactory factory) {
-  if (factory) return factory;
-  return [] { return std::make_unique<apps::StaticNat>(); };
-}
-
-FabricModuleResult module_result(const detail::ModuleRig& rig,
-                                 sim::TimePs duration) {
-  FabricModuleResult out;
-  out.sent_packets = rig.gen->emitted().packets();
-  out.received_packets = rig.edge_sink->received().packets();
-  out.offered_gbps = rig.gen->emitted().bits_per_second(duration) * 1e-9;
-  out.delivered_gbps =
-      rig.edge_sink->received().bits_per_second(duration) * 1e-9;
-  out.latency_p50_ns = sim::to_nanos(rig.edge_sink->latency().percentile(50));
-  out.latency_p99_ns = sim::to_nanos(rig.edge_sink->latency().percentile(99));
-  out.latency_max_ns = sim::to_nanos(rig.edge_sink->latency().max());
-  return out;
-}
-
-}  // namespace
 
 FabricLedger FabricLedger::from_snapshot(const obs::MetricSnapshot& snapshot) {
   FabricLedger ledger;
@@ -91,72 +31,73 @@ FabricLedger FabricLedger::from_snapshot(const obs::MetricSnapshot& snapshot) {
   return ledger;
 }
 
-// --- sequential engine -------------------------------------------------------
+namespace {
 
-FabricTestbed::FabricTestbed(Topology topology, AppFactory app_factory)
-    : topo_(std::move(topology)) {
-  topo_.validate();
-  AppFactory factory = default_factory(std::move(app_factory));
-  sim_.flight().configure(topo_.flight);
+/// One module with its edge-side endpoints and its uplink toward the
+/// fabric. The packet chain: edge gen → module (edge port) → PPE → optical
+/// egress → [link fault injector] → uplink serialization at link rate →
+/// to_fabric, called at send time with the serialization end. Propagation
+/// delay is NOT applied here — it is exactly the piece that crosses worlds,
+/// so the engine owns it.
+struct ModuleRig {
+  ModuleRig(sim::Simulation& sim, const Topology& topo, std::size_t index,
+            ppe::PpeAppPtr app, sim::Link::DepartFn to_fabric) {
+    sfp::FlexSfpConfig module_config = topo.module_prototype;
+    module_config.boot_at_start = false;
+    module = std::make_unique<sfp::FlexSfpModule>(sim, std::move(app),
+                                                  module_config);
+    edge_sink = std::make_unique<Sink>(sim);
+    module->set_egress_handler(sfp::FlexSfpModule::edge_port,
+                               [this](net::PacketPtr packet) {
+                                 edge_sink->handle_packet(std::move(packet));
+                               });
 
-  CrossbarConfig xbar_config;
-  xbar_config.ports = topo_.modules;
-  xbar_config.crosspoint_capacity = topo_.crosspoint_capacity;
-  xbar_config.port_rate = topo_.link_rate;
-  xbar_ = std::make_unique<Crossbar>(
-      sim_, xbar_config,
-      [this](const net::Packet& packet) { return topo_.route(packet); });
+    uplink = std::make_unique<sim::Link>(sim, topo.link_rate,
+                                         std::move(to_fabric), "fabric_uplink");
+    if (topo.link_faults) {
+      link_faults = std::make_unique<sim::FaultInjector>(
+          sim, topo.link_fault_for(index), *uplink, "fault.fabric_link");
+    }
+    sim::PacketHandler* uplink_entry =
+        link_faults ? static_cast<sim::PacketHandler*>(link_faults.get())
+                    : uplink.get();
+    module->set_egress_handler(sfp::FlexSfpModule::optical_port,
+                               [uplink_entry](net::PacketPtr packet) {
+                                 uplink_entry->handle_packet(std::move(packet));
+                               });
 
-  rigs_.reserve(topo_.modules);
-  for (std::size_t i = 0; i < topo_.modules; ++i) {
-    rigs_.push_back(std::make_unique<detail::ModuleRig>(
-        sim_, topo_, i, factory(),
-        [this, i](sim::TimePs depart, net::PacketPtr p) {
-          sim_.schedule_at(sim::saturating_add(depart, topo_.link_delay_ps),
-                           [this, i, p = std::move(p)]() mutable {
-                             xbar_->ingress(i, std::move(p));
-                           });
-        }));
-  }
-  for (std::size_t j = 0; j < topo_.modules; ++j) {
-    xbar_->set_output_handler(j, [this, j](net::PacketPtr p) {
-      // Pin the far module's egress to its edge side: downlink frames must
-      // exit toward the host even if a shell's opposite-side rule would
-      // disagree (and the hint counter proves the fabric path was taken).
-      sfp::set_egress_hint(*p, sfp::FlexSfpModule::edge_port);
-      sim_.schedule_in(topo_.link_delay_ps,
-                       [this, j, p = std::move(p)]() mutable {
-                         rigs_[j]->module->inject(
-                             sfp::FlexSfpModule::optical_port, std::move(p));
-                       });
+    edge_in = std::make_unique<sim::LambdaHandler>([this](net::PacketPtr p) {
+      module->inject(sfp::FlexSfpModule::edge_port, std::move(p));
     });
+    gen = std::make_unique<TrafficGen>(sim, topo.traffic_for(index), *edge_in);
   }
+
+  std::unique_ptr<sfp::FlexSfpModule> module;
+  std::unique_ptr<Sink> edge_sink;
+  std::unique_ptr<sim::LambdaHandler> edge_in;
+  std::unique_ptr<sim::Link> uplink;
+  std::unique_ptr<sim::FaultInjector> link_faults;  // null when unfaulted
+  std::unique_ptr<TrafficGen> gen;
+};
+
+AppFactory default_factory(AppFactory factory) {
+  if (factory) return factory;
+  return [] { return std::make_unique<apps::StaticNat>(); };
 }
 
-FabricRunResult FabricTestbed::run() {
-  const auto start = std::chrono::steady_clock::now();
-  for (auto& rig : rigs_) rig->gen->start();
-  sim_.run();
-
-  FabricRunResult out;
-  out.duration =
-      topo_.traffic_prototype.start + topo_.traffic_prototype.duration;
-  for (const auto& rig : rigs_) {
-    out.modules.push_back(module_result(*rig, out.duration));
-  }
-  out.metrics = sim_.metrics().snapshot();
-  out.ledger = FabricLedger::from_snapshot(out.metrics);
-  out.events = sim_.executed_events();
-  out.workers_used = 1;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+FabricModuleResult module_result(const ModuleRig& rig,
+                                 sim::TimePs duration) {
+  FabricModuleResult out;
+  out.sent_packets = rig.gen->emitted().packets();
+  out.received_packets = rig.edge_sink->received().packets();
+  out.offered_gbps = rig.gen->emitted().bits_per_second(duration) * 1e-9;
+  out.delivered_gbps =
+      rig.edge_sink->received().bits_per_second(duration) * 1e-9;
+  out.latency_p50_ns = sim::to_nanos(rig.edge_sink->latency().percentile(50));
+  out.latency_p99_ns = sim::to_nanos(rig.edge_sink->latency().percentile(99));
+  out.latency_max_ns = sim::to_nanos(rig.edge_sink->latency().max());
   return out;
 }
-
-// --- conservatively synchronized engine --------------------------------------
-
-namespace {
 
 /// One packet crossing worlds: its metadata, and where its bytes sit in the
 /// outbox arena. `depart` is when the source finished serializing it; it
@@ -234,7 +175,7 @@ struct Outbox {
 
 struct World {
   sim::Simulation sim;
-  std::unique_ptr<detail::ModuleRig> rig;  // module worlds
+  std::unique_ptr<ModuleRig> rig;  // module worlds
   std::unique_ptr<Crossbar> xbar;          // the crossbar world
   std::vector<Outbox*> inbound;            // in source-world order
 };
@@ -272,7 +213,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     Outbox& up = edges[i];
     up.port = static_cast<int>(i);
     xw.inbound.push_back(&up);
-    world.rig = std::make_unique<detail::ModuleRig>(
+    world.rig = std::make_unique<ModuleRig>(
         world.sim, topo_, i, app_factory_(),
         [&up](sim::TimePs depart, net::PacketPtr p) { up.capture(depart, *p); });
   }
@@ -289,6 +230,9 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
       down.port = sfp::FlexSfpModule::optical_port;
       worlds[j]->inbound.push_back(&down);
       xw.xbar->set_output_handler(j, [&xw, &down](net::PacketPtr p) {
+        // Pin the far module's egress to its edge side: downlink frames must
+        // exit toward the host even if a shell's opposite-side rule would
+        // disagree (and the hint counter proves the fabric path was taken).
         sfp::set_egress_hint(*p, sfp::FlexSfpModule::edge_port);
         down.capture(xw.sim.now(), *p);
       });

@@ -1,63 +1,30 @@
-// Multi-module experiment harnesses over a Topology: N FlexSFP modules,
+// The multi-module experiment harness over a Topology: N FlexSFP modules,
 // one crosspoint-queued Crossbar, cable → switch → cable per flow.
 //
-// Two engines consume the same Topology:
+// FabricParallelTestbed is the one fabric engine: one Simulation ("world")
+// per module plus one for the crossbar, advanced in conservative-sync
+// windows. The link propagation delay is the lookahead, so every world can
+// safely run to (min next event across worlds) + delay, and the packets
+// captured at its uplink during the window are exchanged at the barrier
+// with timestamps that are provably ≥ the new window start. Each
+// world-to-world edge (a module uplink, a crossbar output) has an outbox:
+// metadata records plus a byte arena it reuses, so a crossing is one copy
+// in and one copy out of recycled buffers. The barrier merges the per-edge
+// runs in (arrival, source world, capture order), so results are
+// bit-identical for any worker count and run(1) is the oracle. DESIGN.md
+// §11 has the proof sketch.
 //
-//   * FabricTestbed — one Simulation owns everything; modules and the
-//     crossbar exchange packets through ordinary scheduled events. The
-//     single-clock reference for ledger cross-checks.
-//   * FabricParallelTestbed — one Simulation ("world") per module plus one
-//     for the crossbar, advanced in conservative-sync windows: the link
-//     propagation delay is the lookahead, so every world can safely run to
-//     (min next event across worlds) + delay, and the packets captured at
-//     its uplink during the window are exchanged at the barrier with
-//     timestamps that are provably ≥ the new window start. Each
-//     world-to-world edge (a module uplink, a crossbar output) has an
-//     outbox: metadata records plus a byte arena it reuses, so a crossing
-//     is one copy in and one copy out of recycled buffers. The barrier
-//     merges the per-edge runs in (arrival, source world, capture order),
-//     so results are bit-identical for any worker count. DESIGN.md §11 has
-//     the proof sketch.
-//
-// Either way the run ends with a loss ledger: every packet the generators
-// (plus fault duplication) injected is delivered or sits in a named drop
-// counter — the fabric never black-holes, even across shard boundaries.
+// The run ends with a loss ledger: every packet the generators (plus fault
+// duplication) injected is delivered or sits in a named drop counter — the
+// fabric never black-holes, even across world boundaries.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "fabric/crossbar.hpp"
 #include "fabric/parallel_testbed.hpp"
 #include "fabric/topology.hpp"
-#include "sim/link.hpp"
 
 namespace flexsfp::fabric {
-
-namespace detail {
-
-/// One module with its edge-side endpoints and its uplink toward the
-/// fabric, buildable inside any Simulation (the engines differ only in what
-/// `to_fabric` does with a packet the uplink accepted). The packet chain:
-/// edge gen → module (edge port) → PPE → optical egress → [link fault
-/// injector] → uplink serialization at link rate → to_fabric, called at
-/// send time with the serialization end. Propagation delay is NOT applied
-/// here — the engine owns it, because for the parallel engine it is exactly
-/// the piece that crosses worlds.
-struct ModuleRig {
-  ModuleRig(sim::Simulation& sim, const Topology& topo, std::size_t index,
-            ppe::PpeAppPtr app, sim::Link::DepartFn to_fabric);
-
-  std::size_t index = 0;
-  std::unique_ptr<sfp::FlexSfpModule> module;
-  std::unique_ptr<Sink> edge_sink;
-  std::unique_ptr<sim::LambdaHandler> edge_in;
-  std::unique_ptr<sim::Link> uplink;
-  std::unique_ptr<sim::FaultInjector> link_faults;  // null when unfaulted
-  std::unique_ptr<TrafficGen> gen;
-};
-
-}  // namespace detail
 
 /// What one module's endpoints measured. Sent counts the module's own edge
 /// generator; received/latency count what arrived at the module's edge sink
@@ -104,56 +71,30 @@ struct FabricLedger {
 
 struct FabricRunResult {
   std::vector<FabricModuleResult> modules;
-  /// Single-sim engine: the simulation's snapshot. Parallel engine: every
-  /// world's snapshot labeled {shard=<module>} / {shard=xbar}, merged in
-  /// world order — the object the bit-identical property tests compare.
+  /// Every world's snapshot labeled {shard=<module>} / {shard=xbar},
+  /// merged in world order — the object the bit-identical property tests
+  /// compare.
   obs::MetricSnapshot metrics;
   FabricLedger ledger;
   sim::TimePs duration = 0;
   std::uint64_t events = 0;
-  /// Conservative-sync windows executed (0 for the single-sim engine).
+  /// Conservative-sync windows executed.
   std::uint64_t rounds = 0;
   unsigned workers_used = 1;
   double wall_seconds = 0;
 };
 
-/// The sequential reference engine: everything in one Simulation.
-class FabricTestbed {
- public:
-  /// `app_factory` defaults to the NAT case study (forward-on-miss).
-  explicit FabricTestbed(Topology topology, AppFactory app_factory = {});
-
-  [[nodiscard]] sim::Simulation& sim() { return sim_; }
-  [[nodiscard]] Crossbar& crossbar() { return *xbar_; }
-  [[nodiscard]] sfp::FlexSfpModule& module(std::size_t i) {
-    return *rigs_.at(i)->module;
-  }
-  [[nodiscard]] detail::ModuleRig& rig(std::size_t i) { return *rigs_.at(i); }
-  [[nodiscard]] const Topology& topology() const { return topo_; }
-
-  /// Start every generator, run to quiescence, collect results.
-  [[nodiscard]] FabricRunResult run();
-
- private:
-  Topology topo_;
-  sim::Simulation sim_;
-  std::unique_ptr<Crossbar> xbar_;
-  std::vector<std::unique_ptr<detail::ModuleRig>> rigs_;
-};
-
-/// The conservatively synchronized engine: one world per module plus a
-/// crossbar world, lockstep windows, deterministic for any worker count.
+/// The fabric engine: one world per module plus a crossbar world, lockstep
+/// windows, deterministic for any worker count.
 class FabricParallelTestbed {
  public:
+  /// `app_factory` defaults to the NAT case study (forward-on-miss).
   explicit FabricParallelTestbed(Topology topology, AppFactory app_factory = {});
 
   /// Build fresh worlds and run with up to `workers` threads (0 = one per
   /// hardware thread, 1 = sequential oracle). Callable repeatedly; every
   /// call replays the identical experiment.
   [[nodiscard]] FabricRunResult run(unsigned workers);
-  [[nodiscard]] FabricRunResult run_sequential() { return run(1); }
-
-  [[nodiscard]] const Topology& topology() const { return topo_; }
 
  private:
   Topology topo_;

@@ -11,6 +11,15 @@ void Topology::validate() const {
   if (modules < 2) {
     throw std::invalid_argument("Topology needs at least two modules");
   }
+  // Every module's whole /16 destination slice must fit above dst_base in
+  // 32 bits; a wrapped slice would route nowhere and count as unrouted.
+  const std::uint64_t slices =
+      ((std::uint64_t{1} << 32) - traffic_prototype.dst_base.value()) >> 16;
+  if (modules > slices) {
+    throw std::invalid_argument(
+        "Topology has more modules than /16 destination slices above "
+        "dst_base");
+  }
   if (!targets.empty()) {
     if (targets.size() != modules) {
       throw std::invalid_argument(

@@ -1,11 +1,9 @@
 // Multi-module topology description: N FlexSFP modules hanging off one
 // crosspoint-queued crossbar, so a flow traverses cable → switch → cable.
 //
-// One Topology value is consumed by both execution engines — the
-// single-simulation FabricTestbed and the conservatively synchronized
-// FabricParallelTestbed — so an experiment describes its world once and the
-// engines are interchangeable. Per-module traffic and fault streams derive
-// from the prototypes with the same stream-seed discipline as
+// One Topology value describes a FabricParallelTestbed experiment once, for
+// any worker count (run(1) is the oracle). Per-module traffic and fault
+// streams derive from the prototypes with the same stream-seed discipline as
 // ParallelTestbed::shard_spec, and routing is by IPv4 destination /16 slice
 // relative to the traffic prototype's dst_base: module i's generator
 // retargets its flows at its target module's slice, the crossbar routes on
@@ -61,7 +59,8 @@ struct Topology {
 
   Topology() { module_prototype.boot_at_start = false; }
 
-  /// Throws std::invalid_argument on an inconsistent description.
+  /// Throws std::invalid_argument on an inconsistent description, including
+  /// more modules than /16 destination slices fit above dst_base.
   void validate() const;
 
   /// The module that receives module i's traffic.

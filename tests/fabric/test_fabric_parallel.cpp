@@ -1,11 +1,12 @@
 // The conservatively synchronized fabric engine: bit-identical merged
-// results for any worker count, determinism under fault injection, and
-// agreement with the single-simulation reference.
+// results for any worker count, determinism under fault injection, golden
+// figures for its run(1) oracle, and link timing across world boundaries.
 #include "fabric/fabric_testbed.hpp"
 
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "sim/random.hpp"
 
@@ -105,28 +106,62 @@ TEST(FabricParallel, RepeatedRunsAreDeterministic) {
 }
 
 TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
-  // Same Topology through both engines. Packet-id spaces and registry
-  // structure differ (one sim vs a sim per world), so the comparison is at
-  // the ledger level: identical traffic, identical fault decisions,
-  // identical timing → identical counts everywhere.
-  const Topology topo = base_topology(3, 42);
-  FabricTestbed single(topo);
-  const auto reference = single.run();
-  FabricParallelTestbed windowed(topo);
-  const auto run = windowed.run(1);
+  // Figures recorded from the retired single-simulation engine (everything
+  // in one Simulation, no windows) on this topology, where its tie order
+  // and the exchange order agree: same traffic, same timing, same counts.
+  const auto run = FabricParallelTestbed(base_topology(3, 42)).run(1);
 
-  EXPECT_EQ(run.ledger.sent, reference.ledger.sent);
-  EXPECT_EQ(run.ledger.delivered, reference.ledger.delivered);
-  EXPECT_EQ(run.ledger.crosspoint_drops, reference.ledger.crosspoint_drops);
-  EXPECT_EQ(run.ledger.unrouted, reference.ledger.unrouted);
-  ASSERT_EQ(run.modules.size(), reference.modules.size());
-  for (std::size_t i = 0; i < run.modules.size(); ++i) {
-    EXPECT_EQ(run.modules[i].sent_packets,
-              reference.modules[i].sent_packets);
-    EXPECT_EQ(run.modules[i].received_packets,
-              reference.modules[i].received_packets);
-    EXPECT_EQ(run.modules[i].latency_p50_ns,
-              reference.modules[i].latency_p50_ns);
+  // Sent == injected == delivered on a balanced ledger pins every term:
+  // no duplicates and every drop counter at 0.
+  EXPECT_EQ(run.ledger.sent, 135u);
+  EXPECT_EQ(run.ledger.injected(), 135u);
+  EXPECT_EQ(run.ledger.delivered, 135u);
+  EXPECT_TRUE(run.ledger.balanced());
+  EXPECT_EQ(run.events, 1623u);
+  struct Golden {
+    std::uint64_t sent, received;
+    double p50_ns;
+  };
+  const Golden golden[] = {
+      {54, 44, 3838.295}, {37, 54, 4185.69}, {44, 37, 3838.295}};
+  ASSERT_EQ(run.modules.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(run.modules[i].sent_packets, golden[i].sent) << "module " << i;
+    EXPECT_EQ(run.modules[i].received_packets, golden[i].received)
+        << "module " << i;
+    EXPECT_DOUBLE_EQ(run.modules[i].latency_p50_ns, golden[i].p50_ns)
+        << "module " << i;
+  }
+}
+
+TEST(FabricParallel, LinkDelayShiftsLatencyByTwoCrossings) {
+  // A packet crosses two links (uplink into the crossbar, downlink out of
+  // it), so adding 1 µs of propagation delay per link must add exactly 2 µs
+  // to every module's worst latency. The delay is also the sync lookahead,
+  // so a window that delivered crossings early or late would show here even
+  // though every worker count would still agree with run(1).
+  const auto worst_latencies = [](sim::TimePs link_delay) {
+    Topology topo;
+    topo.modules = 3;
+    topo.link_delay_ps = link_delay;
+    topo.traffic_prototype.arrivals = ArrivalProcess::cbr;
+    topo.traffic_prototype.fixed_size = 256;
+    topo.traffic_prototype.rate = DataRate::gbps(1);
+    topo.traffic_prototype.duration = 20_us;
+    const auto run = FabricParallelTestbed(topo).run(1);
+    EXPECT_TRUE(run.ledger.balanced());
+    EXPECT_EQ(run.ledger.delivered, run.ledger.sent);
+    std::vector<double> worst;
+    for (const auto& m : run.modules) worst.push_back(m.latency_max_ns);
+    return worst;
+  };
+  const auto short_links = worst_latencies(500_ns);
+  const auto long_links = worst_latencies(1500_ns);
+  ASSERT_EQ(short_links.size(), 3u);
+  ASSERT_EQ(long_links.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(short_links[i], 2552.0) << "module " << i;
+    EXPECT_DOUBLE_EQ(long_links[i] - short_links[i], 2000.0) << "module " << i;
   }
 }
 

@@ -1,4 +1,4 @@
-// The single-simulation fabric engine: cable → switch → cable topologies,
+// The fabric engine's oracle, run(1): cable → switch → cable topologies,
 // the zero-black-hole ledger and the egress-hint side band end to end.
 #include "fabric/fabric_testbed.hpp"
 
@@ -37,6 +37,18 @@ TEST(Topology, ValidatesItsDescription) {
   topo = Topology{};
   topo.crosspoint_capacity = 0;
   EXPECT_THROW(topo.validate(), std::invalid_argument);
+  // Above 192.168.0.0 there are (2^32 - base) >> 16 = 16216 whole /16
+  // destination slices; module 16216's slice would wrap to 0.0.0.0.
+  // Validate only: no topology of this size is built.
+  topo = Topology{};
+  topo.modules = 16216;
+  EXPECT_NO_THROW(topo.validate());
+  EXPECT_EQ(topo.slice_base(16215).value(), 0xFFFF0000u);
+  topo.modules = 16217;
+  EXPECT_THROW(topo.validate(), std::invalid_argument);
+  topo.modules = 3;
+  topo.traffic_prototype.dst_base = net::Ipv4Address{0xFFFE8000u};
+  EXPECT_THROW(topo.validate(), std::invalid_argument);  // one whole slice
   EXPECT_NO_THROW(Topology{}.validate());
 }
 
@@ -85,9 +97,8 @@ TEST(Topology, RoutesByDestinationSlice) {
   EXPECT_EQ(topo.route(garbage), -1);
 }
 
-TEST(FabricTestbed, RingDeliversEveryPacketAndBalancesTheLedger) {
-  FabricTestbed bed(small_ring(3));
-  const auto run = bed.run();
+TEST(FabricEngine, RingDeliversEveryPacketAndBalancesTheLedger) {
+  const auto run = FabricParallelTestbed(small_ring(3)).run(1);
 
   ASSERT_EQ(run.modules.size(), 3u);
   std::uint64_t sent = 0, received = 0;
@@ -112,15 +123,14 @@ TEST(FabricTestbed, RingDeliversEveryPacketAndBalancesTheLedger) {
   EXPECT_EQ(run.metrics.sum("fabric.xbar.forwarded.packets"), sent);
 }
 
-TEST(FabricTestbed, DownlinkFramesCarryHonoredEgressHints) {
-  FabricTestbed bed(small_ring(3));
-  const auto run = bed.run();
+TEST(FabricEngine, DownlinkFramesCarryHonoredEgressHints) {
+  const auto run = FabricParallelTestbed(small_ring(3)).run(1);
   // Every frame the fabric handed back to a module was pinned to the edge
   // interface; with zero loss the hint count equals the deliveries.
   EXPECT_EQ(run.metrics.sum("shell.egress_hints"), run.ledger.delivered);
 }
 
-TEST(FabricTestbed, IncastOverflowsCrosspointsButStaysAccounted) {
+TEST(FabricEngine, IncastOverflowsCrosspointsButStaysAccounted) {
   Topology topo = small_ring(4);
   // All four modules blast module 0 at 6 Gb/s each: output 0 is 2.4x
   // oversubscribed, so crosspoints toward it must fill and drop.
@@ -128,8 +138,7 @@ TEST(FabricTestbed, IncastOverflowsCrosspointsButStaysAccounted) {
   topo.traffic_prototype.rate = DataRate::gbps(6);
   topo.traffic_prototype.duration = 30_us;
   topo.crosspoint_capacity = 8;
-  FabricTestbed bed(topo);
-  const auto run = bed.run();
+  const auto run = FabricParallelTestbed(topo).run(1);
   EXPECT_GT(run.ledger.crosspoint_drops, 0u);
   EXPECT_GT(run.modules[0].received_packets, 0u);
   EXPECT_TRUE(run.ledger.balanced())
@@ -141,7 +150,7 @@ TEST(FabricTestbed, IncastOverflowsCrosspointsButStaysAccounted) {
             run.ledger.crosspoint_drops);
 }
 
-TEST(FabricTestbed, LinkFaultsAreLedgeredAcrossTheFabric) {
+TEST(FabricEngine, LinkFaultsAreLedgeredAcrossTheFabric) {
   Topology topo = small_ring(3);
   topo.traffic_prototype.arrivals = ArrivalProcess::poisson;
   sim::FaultSpec faults;
@@ -151,8 +160,7 @@ TEST(FabricTestbed, LinkFaultsAreLedgeredAcrossTheFabric) {
   faults.reorder_prob = 0.02;
   faults.flaps.push_back({10_us, 5_us});
   topo.link_faults = faults;
-  FabricTestbed bed(topo);
-  const auto run = bed.run();
+  const auto run = FabricParallelTestbed(topo).run(1);
 
   EXPECT_GT(run.ledger.fault_dropped, 0u);
   EXPECT_GT(run.ledger.duplicated, 0u);
@@ -165,15 +173,15 @@ TEST(FabricTestbed, LinkFaultsAreLedgeredAcrossTheFabric) {
   EXPECT_NE(topo.link_fault_for(0).seed, faults.seed);
 }
 
-TEST(FabricTestbed, RepeatedRunsAreBitIdentical) {
+TEST(FabricEngine, RepeatedRunsAreBitIdentical) {
   const auto run_once = [] {
-    FabricTestbed bed(small_ring(3));
-    return bed.run();
+    return FabricParallelTestbed(small_ring(3)).run(1);
   };
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.rounds, b.rounds);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@ Two gate classes, because two kinds of figures travel in the same file:
              delivered Gb/s at a fixed offered load, determinism flags).
              These are properties of the code, not the host: any regression
              beyond --tolerance (default 15%) fails everywhere, including CI.
-* lenient  — wall-clock figures (events/sec). These move with the host, so
-             the gate only trips on a collapse (default: fresh < 50% of
-             baseline). Override with BENCH_GATE_RATE_TOLERANCE=<0..1> or
-             disable entirely with BENCH_GATE_SKIP_RATE=1 when comparing
-             across different machines.
+* lenient  — wall-clock figures (wall ns per simulated packet). These move
+             with the host, so the gate only trips on a collapse: time per
+             packet above baseline / (1 - tolerance), i.e. the packet rate
+             below (1 - tolerance) of baseline (default: 2x slower).
+             Override with BENCH_GATE_RATE_TOLERANCE=<0..1> or disable
+             entirely with BENCH_GATE_SKIP_RATE=1 when comparing across
+             different machines.
 
 Context figures (e.g. `shards`) must match exactly — a mismatch means the
 fresh run used different parameters than the baseline and every other
@@ -64,11 +66,12 @@ POLICIES = [
     ("latency_p*", None, "info"),  # bucketed percentiles: shape, not a gate
     ("pdv_ns_*", None, "info"),
     ("churn_unmappable_drops", None, "info"),
-    ("events_per_sec*", "lower_is_worse", "lenient"),
+    # Not events/s, which reads deleting events as a slowdown.
+    ("ns_per_pkt*", "higher_is_worse", "lenient"),
     # Wall-clock ratio, but one the refactor is accountable for: the windowed
     # engine must not be slower than sequential beyond a collapse threshold.
     ("speedup_w4", "lower_is_worse", "lenient"),
-    ("speedup_*", None, "info"),  # derived from events/sec: machine-bound
+    ("speedup_*", None, "info"),  # wall-clock ratio: machine-bound
     ("wall_seconds*", None, "info"),
     ("events_total", None, "info"),  # informational: legitimately moves
 ]
@@ -129,7 +132,9 @@ def gate_bench(name: str, baseline_path: str, fresh_path: str,
             print(line + " (rate gate skipped)")
             continue
         tol = rate_tol if kind == "lenient" else strict_tol
-        if direction == "higher_is_worse":
+        if direction == "higher_is_worse" and kind == "lenient":
+            bad = tol < 1.0 and now > base / (1.0 - tol) + ABS_EPSILON
+        elif direction == "higher_is_worse":
             bad = now > base * (1.0 + tol) + ABS_EPSILON
         else:  # lower_is_worse
             bad = now < base * (1.0 - tol) - ABS_EPSILON

@@ -13,13 +13,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/register.hpp"
 #include "fabric/fabric_testbed.hpp"
 #include "fabric/parallel_testbed.hpp"
 #include "fabric/testbed.hpp"
+#include "obs/metrics.hpp"
 #include "ppe/registry.hpp"
 
 namespace {
@@ -368,28 +371,53 @@ int main(int argc, char** argv) {
     topo.traffic_prototype = spec;
     topo.flight.sample_every = sample_every;
     if (config.edge_faults) topo.link_faults = config.edge_faults;
-    fabric::FabricTestbed bed(topo, [&registry, &app_name] {
-      return registry.create(app_name, net::BytesView{});
-    });
-    const auto run = bed.run();
-    const auto& xbar = bed.crossbar();
+    try {
+      topo.validate();
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "flexsfp-stats: %s\n", error.what());
+      return 2;
+    }
+    const auto run =
+        fabric::FabricParallelTestbed(topo, [&registry, &app_name] {
+          return registry.create(app_name, net::BytesView{});
+        }).run(1);
+    // The worlds are gone once run() returns, so crossbar figures come from
+    // the merged snapshot: the crossbar world's series carry {shard=xbar}
+    // next to the crossbar's own {xbar=xbar} (labels in key order).
+    const auto crosspoint = [&run](std::string_view name, std::size_t in,
+                                   std::size_t out) {
+      return run.metrics.value(obs::metric_key(
+          name, {{"in", std::to_string(in)}, {"out", std::to_string(out)},
+                 {"shard", "xbar"}, {"xbar", "xbar"}}));
+    };
+    const auto output = [&run](std::string_view name, std::size_t out) {
+      return run.metrics.value(obs::metric_key(
+          name, {{"out", std::to_string(out)}, {"shard", "xbar"},
+                 {"xbar", "xbar"}}));
+    };
 
     if (json) {
       std::string doc = "{\"app\":\"" + app_name +
                         "\",\"modules\":" + std::to_string(modules) +
-                        ",\"crosspoints\":[";
+                        ",\"targets\":[";
+      for (std::size_t in = 0; in < modules; ++in) {
+        if (in != 0) doc += ",";
+        doc += std::to_string(topo.target_of(in));
+      }
+      doc += "],\"crosspoints\":[";
       bool first = true;
       for (std::size_t in = 0; in < modules; ++in) {
         for (std::size_t out = 0; out < modules; ++out) {
           if (!first) doc += ",";
           first = false;
-          const std::uint64_t drops = run.metrics.value(
-              "fabric.xbar.crosspoint_drops{in=" + std::to_string(in) +
-              ",out=" + std::to_string(out) + ",xbar=" + xbar.name() + "}");
           doc += "{\"in\":" + std::to_string(in) +
                  ",\"out\":" + std::to_string(out) + ",\"hwm\":" +
-                 std::to_string(xbar.crosspoint_high_watermark(in, out)) +
-                 ",\"drops\":" + std::to_string(drops) + "}";
+                 std::to_string(
+                     crosspoint("fabric.xbar.crosspoint_hwm", in, out)) +
+                 ",\"drops\":" +
+                 std::to_string(
+                     crosspoint("fabric.xbar.crosspoint_drops", in, out)) +
+                 "}";
         }
       }
       doc += "],\"ledger\":{\"sent\":" + std::to_string(run.ledger.sent) +
@@ -428,17 +456,18 @@ int main(int argc, char** argv) {
     for (std::size_t in = 0; in < modules; ++in) {
       std::printf("%8zu", in);
       for (std::size_t out = 0; out < modules; ++out) {
-        std::printf(" %8llu", static_cast<unsigned long long>(
-                                  xbar.crosspoint_high_watermark(in, out)));
+        std::printf(" %8llu", static_cast<unsigned long long>(crosspoint(
+                                  "fabric.xbar.crosspoint_hwm", in, out)));
       }
       std::putchar('\n');
     }
     std::printf("\n%-8s %16s %14s\n", "output", "east-west bytes", "packets");
     for (std::size_t out = 0; out < modules; ++out) {
       std::printf("%-8zu %16llu %14llu\n", out,
-                  static_cast<unsigned long long>(xbar.forwarded_bytes(out)),
                   static_cast<unsigned long long>(
-                      xbar.forwarded_packets(out)));
+                      output("fabric.xbar.forwarded.bytes", out)),
+                  static_cast<unsigned long long>(
+                      output("fabric.xbar.forwarded.packets", out)));
     }
 
     std::printf("\nledger: sent=%llu delivered=%llu crosspoint_drops=%llu "
